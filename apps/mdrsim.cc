@@ -13,12 +13,12 @@
 // probe plus a final summary object stream to stdout.
 //
 // By default runs the scenario once and prints per-flow delays, drop and
-// control-plane counters, and, if the scenario enables them, the delay time
-// series and LFI check summary. With --seeds N > 1 the experiment is
-// replicated N times under seeds derived from the base seed and fanned
-// across --jobs worker threads (results are identical for any --jobs
-// value); per-flow delays are reported as mean / stddev / 95% CI across the
-// replications. --json writes the batch (aggregates plus per-run rows) in
+// control-plane counters, and, if the scenario enables them, the LFI check
+// summary and the delay time series (one row per `sample` window). With
+// --seeds N > 1 the experiment is replicated N times under seeds derived
+// from the base seed and fanned across --jobs worker threads (results are
+// identical for any --jobs value); per-flow delays are reported as mean /
+// stddev / 95% CI across the replications. --json writes the batch (aggregates plus per-run rows) in
 // the schema documented in docs/RUNNER.md.
 //
 // Crash safety (docs/CHECKPOINT.md): --checkpoint-interval S with
@@ -64,6 +64,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "ckpt/ckpt.h"
@@ -77,9 +78,9 @@
 namespace {
 
 // SIGINT/SIGTERM request a graceful stop: the flag is polled at the
-// simulation's safe boundaries (between event-queue slices / at sharded
-// window barriers), where a final checkpoint is written if checkpointing is
-// configured and partial telemetry is flushed before exiting 128+signal.
+// simulation's safe boundaries (the engine's window barriers), where a
+// final checkpoint is written if checkpointing is configured and partial
+// telemetry is flushed before exiting 128+signal.
 // Lock-free stores only — this runs in signal context.
 std::atomic<bool> g_stop{false};
 std::atomic<int> g_signal{0};
@@ -205,13 +206,14 @@ void print_single_run(const mdr::sim::SimResult& result, bool quiet) {
       }
     }
   }
-  if (!quiet && !result.timeseries.empty()) {
+  if (!quiet && result.telemetry.has_value() &&
+      !result.telemetry->flows.empty()) {
     std::puts("\ntime series (window end, delivered, mean delay ms, drops):");
-    for (const auto& p : result.timeseries) {
-      std::printf("  %8.1f %8llu %10.3f %6llu\n", p.t,
-                  static_cast<unsigned long long>(p.delivered),
-                  p.mean_delay_s * 1e3,
-                  static_cast<unsigned long long>(p.dropped));
+    for (const auto& w : mdr::obs::network_windows(result.telemetry->flows)) {
+      std::printf("  %8.1f %8llu %10.3f %6llu\n", w.t,
+                  static_cast<unsigned long long>(w.delivered),
+                  w.mean_delay_s() * 1e3,
+                  static_cast<unsigned long long>(w.dropped));
     }
   }
 }
@@ -395,18 +397,17 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (shards >= 1) scenario->spec.engine.shards = static_cast<int>(shards);
-  if (scenario->spec.engine.shards >= 1 &&
-      (config.trace || config.flightrec_capacity > 0)) {
-    std::fputs(
-        "mdrsim: --trace / flightrec need the single-threaded engine; drop "
-        "them or the shards setting\n",
-        stderr);
+  try {
+    mdr::sim::validate_engine(scenario->spec.topo, config,
+                              scenario->spec.engine);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "mdrsim: %s\n", e.what());
     return 2;
   }
-  // The sharded engine spawns `shards` threads per simulation; sharing the
-  // thread budget with the replication fan-out would oversubscribe the
-  // host, so the runner's job count shrinks to compensate.
-  if (scenario->spec.engine.shards >= 1 && jobs > 1) {
+  // The engine runs `shards` threads per simulation; sharing the thread
+  // budget with the replication fan-out would oversubscribe the host, so
+  // the runner's job count shrinks to compensate.
+  if (jobs > 1) {
     const long effective = std::max(1L, jobs / scenario->spec.engine.shards);
     if (effective != jobs) {
       std::fprintf(stderr,
@@ -454,10 +455,7 @@ int main(int argc, char** argv) {
                 config.use_hello ? "on" : "off",
                 config.monitor_interval > 0 ? "on" : "off",
                 config.stability.interval > 0 ? "on" : "off");
-    if (scenario->spec.engine.shards >= 1) {
-      std::printf("  engine: %d shards", scenario->spec.engine.shards);
-    }
-    std::printf("\n");
+    std::printf("  engine: %d shard(s)\n", scenario->spec.engine.shards);
     return 0;
   }
 

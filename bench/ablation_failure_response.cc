@@ -4,10 +4,12 @@
 // better than SP, because of availability of alternate paths". This bench
 // cuts the sri<->isi CAIRN backbone trunk mid-run and prints the
 // network-average delay time series for MP and SP: the depth and duration
-// of the disruption spike, and the steady-state delta before/after.
+// of the disruption spike, and the steady-state delta before/after (the
+// sampler's per-flow windows summed network-wide).
 #include <cstdio>
 
 #include "figure_common.h"
+#include "obs/sampler.h"
 
 int main() {
   using namespace mdr;
@@ -17,7 +19,7 @@ int main() {
   base.warmup = 7;
   base.duration = 60;
   base.seed = 7;
-  base.timeseries_interval = 2.0;
+  base.sample_interval = 2.0;
   const double t_fail = 30.0;
   const double t_heal = 50.0;
   base.link_toggles.push_back({t_fail, "sri", "isi", false});
@@ -38,12 +40,14 @@ int main() {
   std::puts("== CAIRN sri<->isi trunk fails at t=30s, heals at t=50s ==");
   std::printf("%8s %14s %14s %10s %10s\n", "t (s)", "MP delay (ms)",
               "SP delay (ms)", "MP drops", "SP drops");
-  for (std::size_t i = 0; i < mp.timeseries.size() && i < sp.timeseries.size();
+  const auto mp_windows = obs::network_windows(mp.telemetry->flows);
+  const auto sp_windows = obs::network_windows(sp.telemetry->flows);
+  for (std::size_t i = 0; i < mp_windows.size() && i < sp_windows.size();
        ++i) {
-    const auto& m = mp.timeseries[i];
-    const auto& s = sp.timeseries[i];
+    const auto& m = mp_windows[i];
+    const auto& s = sp_windows[i];
     std::printf("%8.0f %14.3f %14.3f %10llu %10llu%s\n", m.t,
-                m.mean_delay_s * 1e3, s.mean_delay_s * 1e3,
+                m.mean_delay_s() * 1e3, s.mean_delay_s() * 1e3,
                 static_cast<unsigned long long>(m.dropped),
                 static_cast<unsigned long long>(s.dropped),
                 m.t > t_fail && m.t <= t_fail + 2 ? "   <- failure"

@@ -22,10 +22,9 @@
 // seconds, one seed — wall clock, total events, events/sec, peak RSS.
 //
 // Engine series: the same simulation pipeline on a generated Waxman graph
-// with a 1 ms propagation-delay floor (so the sharded engine's conservative
-// lookahead windows are wide), run on the legacy engine (shards = 0) and
-// the parallel engine at 1 / 2 / 4 / 8 shards. Plus one "scale" point: the
-// first 1000-router run, sharded. The emitted host_cpus field is the
+// with a 1 ms propagation-delay floor (so the engine's conservative
+// lookahead windows are wide), run at 1 / 2 / 4 / 8 shards. Plus one
+// "scale" point: the first 1000-router run, sharded. The emitted host_cpus field is the
 // honesty context for both — shard throughput can only scale with real
 // cores, and a 1-CPU container will show the barrier overhead, not a
 // speedup (docs/BENCHMARKS.md).
@@ -377,8 +376,7 @@ Macro bench_macro(double duration) {
 
 // ------------------------------------------------- engine shard scaling
 
-// One (engine, workload) measurement: shards == 0 is the legacy
-// single-threaded queue, >= 1 the sharded conservative engine.
+// One (shard count, workload) measurement.
 struct EnginePoint {
   int shards = 0;
   double wall_s = 0;
@@ -461,7 +459,7 @@ int run(int argc, char** argv) {
   const std::uint64_t ticks = smoke ? 100000 : 1000000;
   const double macro_duration = smoke ? 10.0 : 60.0;
   // Engine series: ~120 routers is deep into macro territory while keeping
-  // the 5-point sweep under a minute per point. The scale point is the
+  // the 4-point sweep under a minute per point. The scale point is the
   // 1000-router milestone (smoke substitutes 200 — CI minutes are real).
   const std::size_t engine_nodes = smoke ? 60 : 120;
   const double engine_sim_s = smoke ? 4.0 : 10.0;
@@ -477,7 +475,7 @@ int run(int argc, char** argv) {
   const EngineWorkload engine_work =
       engine_workload(engine_nodes, engine_nodes / 2, engine_sim_s);
   std::vector<EnginePoint> engine_series;
-  for (const int shards : {0, 1, 2, 4, 8}) {
+  for (const int shards : {1, 2, 4, 8}) {
     engine_series.push_back(bench_engine_point(engine_work, shards));
   }
   const EngineWorkload scale_work =

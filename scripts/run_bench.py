@@ -62,8 +62,7 @@ MACRO_FIELDS = {
     "peak_rss_bytes": int,
 }
 
-# One point of the engine shard-scaling series (shards == 0 is the legacy
-# single-threaded engine; >= 1 the sharded conservative engine).
+# One point of the engine shard-scaling series.
 ENGINE_POINT_FIELDS = {
     "shards": int,
     "wall_seconds": float,
@@ -102,7 +101,7 @@ CKPT_LINE = re.compile(
     r"\[ckpt\] (save|load) path=\S+(?: bytes=(\d+))? ms=([0-9.]+) t=")
 
 # The shard counts every baseline must sweep, in order.
-ENGINE_SERIES_SHARDS = [0, 1, 2, 4, 8]
+ENGINE_SERIES_SHARDS = [1, 2, 4, 8]
 
 # The typed hop path must not allocate per event. The bound is not 0.0
 # exactly: the timer wheel's slot vectors occasionally grow to a new
@@ -181,10 +180,10 @@ def validate_event_core(doc):
     # Engine shard-scaling series: structural only — NO timing or speedup
     # gates (a 1-CPU container legitimately shows slowdown; host_cpus is
     # the published context). What IS asserted: the sweep covers the
-    # canonical shard counts, every point carried traffic, and the sharded
-    # points processed the same simulation (byte-identity across shard
+    # canonical shard counts, every point carried traffic, and all points
+    # processed the same simulation (byte-identity across shard
     # counts is pinned by tests/parallel_engine_test.cc; here the cheap
-    # proxy is identical delivered counts for every shards >= 1 point).
+    # proxy is identical delivered counts for every point).
     engine = doc.get("engine")
     if not isinstance(engine, dict):
         fail("engine is missing or not an object")
@@ -203,11 +202,10 @@ def validate_event_core(doc):
                      f"engine.series[shards={point.get('shards')}]")
         if point["delivered"] == 0:
             fail(f"engine.series[shards={point['shards']}].delivered == 0")
-    sharded_delivered = {p["delivered"] for p in series if p["shards"] >= 1}
-    if len(sharded_delivered) != 1:
-        fail(f"sharded engine points disagree on delivered packets: "
-             f"{sorted(sharded_delivered)} — shard-count determinism is "
-             f"broken")
+    delivered = {p["delivered"] for p in series}
+    if len(delivered) != 1:
+        fail(f"engine points disagree on delivered packets: "
+             f"{sorted(delivered)} — shard-count determinism is broken")
 
     check_fields(doc.get("scale"), SCALE_FIELDS, "scale")
     if doc["scale"]["delivered"] == 0:

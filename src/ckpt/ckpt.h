@@ -42,7 +42,9 @@ class Error : public std::runtime_error {
 };
 
 inline constexpr std::uint32_t kMagic = 0x4b52444du;  // "MDRK" little-endian
-inline constexpr std::uint32_t kVersion = 2;  // v2: incremental RouterTables
+// v2: incremental RouterTables. v3: one engine — the pause-plan cursor is
+// the only resume cursor, and the second windowed delay series is gone.
+inline constexpr std::uint32_t kVersion = 3;
 
 class Writer {
  public:

@@ -47,9 +47,9 @@ struct DutyEdge {
 
 /// Expands a duty cycle into its transition schedule over [0, sim_end]:
 /// whole cycles only, chronological, each cycle contributing a sleep edge
-/// at t + on_fraction * period and a wake edge at t + period. Both the
-/// legacy event schedule and the sharded engine's pause plan consume this
-/// one expansion, so the two engines agree on every transition instant.
+/// at t + on_fraction * period and a wake edge at t + period. The engine's
+/// pause plan (sim/network_sim.cc) turns each edge into one coordinator
+/// pause.
 std::vector<DutyEdge> duty_cycle_edges(const LinkDutyCycle& duty,
                                        Time sim_end);
 

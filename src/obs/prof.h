@@ -192,7 +192,7 @@ class ProfScope {
 };
 
 /// The mergeable, exportable form of a profiling run: one Track per
-/// Profiler instance ("main", "shard0".."shardN", "coord") plus
+/// Profiler instance ("shard0".."shardN-1", then "coord") plus
 /// engine-level window statistics. Merging (across runner jobs) is
 /// label-wise elementwise addition in job order, like MetricRegistry.
 struct ProfReport {
@@ -202,11 +202,11 @@ struct ProfReport {
   };
   std::vector<Track> tracks;
 
-  // --- parallel-engine window statistics (zero on the classic engine) ----
+  // --- engine window statistics -----------------------------------------
   std::uint64_t windows = 0;  ///< barriers with at least one busy shard
   std::uint64_t window_max_busy_ns = 0;   ///< sum over windows of max busy
   std::uint64_t window_mean_busy_ns = 0;  ///< sum over windows of mean busy
-  int shards = 0;  ///< max across merged runs (0 = classic engine)
+  int shards = 0;  ///< max shard count across merged runs (>= 1 once run)
 
   // --- self-accounting --------------------------------------------------
   std::uint64_t scopes = 0;   ///< timed scope count across all tracks

@@ -123,6 +123,21 @@ void TimeSeriesSampler::record_control(Time t, const ControlCumulative& now) {
   prev_control_ = now;
 }
 
+std::vector<NetworkWindow> network_windows(
+    const std::vector<FlowSample>& rows) {
+  std::vector<NetworkWindow> windows;
+  for (const FlowSample& row : rows) {
+    if (windows.empty() || windows.back().t != row.t) {
+      windows.push_back(NetworkWindow{row.t, 0, 0, 0});
+    }
+    NetworkWindow& w = windows.back();
+    w.delivered += row.delivered;
+    w.delay_sum_s += row.delay_sum_s;
+    w.dropped += row.dropped;
+  }
+  return windows;
+}
+
 namespace {
 
 void append_link_names(std::string& line, const TelemetryNames& names,

@@ -233,6 +233,23 @@ struct Telemetry {
   }
 };
 
+/// Network-wide totals of one sample window: the FlowSample rows that share
+/// a window end, summed in flow order.
+struct NetworkWindow {
+  Time t = 0;
+  std::uint64_t delivered = 0;
+  double delay_sum_s = 0;
+  std::uint64_t dropped = 0;
+  /// 0 when nothing was delivered in the window.
+  double mean_delay_s() const {
+    return delivered > 0 ? delay_sum_s / static_cast<double>(delivered) : 0;
+  }
+};
+
+/// Sums per-flow sample rows into one NetworkWindow per sample tick, in
+/// tick order (the rows of one tick are contiguous in Telemetry::flows).
+std::vector<NetworkWindow> network_windows(const std::vector<FlowSample>& rows);
+
 /// Turns cumulative readings into windowed sample rows. The caller feeds one
 /// full set of record_*() calls per tick; the sampler keeps the previous
 /// cumulative values per entity and appends the delta rows to `out`.

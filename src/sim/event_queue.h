@@ -8,7 +8,7 @@
 // node protocol timers) are small tagged records drawn from a free-list
 // pool, so the steady-state packet path performs no heap allocation per
 // hop. A std::function fallback remains for low-rate control events
-// (fault schedules, bring-up, measurement sweeps).
+// (node bring-up, tests).
 //
 // Two containers hold pending events, both ordered by (time, seq):
 //
@@ -16,7 +16,7 @@
 //    and more cache-friendly than the former std::priority_queue of
 //    std::function events;
 //  * a hashed timer wheel for the high-multiplicity periodic timers
-//    (hello, Ts/Tl, retransmit, pacing, samplers). Wheel entries cascade
+//    (hello, Ts/Tl, retransmit, pacing). Wheel entries cascade
 //    into the heap strictly before their due time, so the global execution
 //    order is exactly the (time, seq) order of one merged queue and
 //    same-seed runs stay bit-identical to a heap-only core.
@@ -58,23 +58,19 @@ struct EventQueueCodec {
 
 /// What a timer is for. One typed scheduling surface replaces the former
 /// per-purpose schedule_timer_* entry points: protocol timers (node-bound,
-/// boot-guarded) and maintenance ticks (callback-bound) all declare their
-/// class, so shard-local and cross-shard scheduling share a single audited
-/// API and per-class schedule counts are observable (timers_scheduled()).
+/// boot-guarded) and generic callbacks all declare their class, so
+/// per-class schedule counts are observable (timers_scheduled()). Global
+/// observers (monitor, LFI, sampler, stability) are not queue timers at
+/// all: they run as coordinator pauses between engine windows.
 enum class TimerClass : std::uint8_t {
   kHello,       ///< hello protocol tick (node timer)
   kShortTerm,   ///< Ts measurement window (node timer)
   kLongTerm,    ///< Tl measurement window (node timer)
   kRetransmit,  ///< LSU reliable-flooding resend (node timer)
   kPacing,      ///< LSU origination pacing flush (node timer)
-  kSampler,     ///< telemetry time-series sample (callback)
-  kMonitor,     ///< invariant-monitor sweep (callback)
-  kLfi,         ///< loop-free-invariant global check (callback)
-  kTimeseries,  ///< delay/throughput window roll (callback)
-  kGeneric,     ///< anything else parked on the wheel (callback)
-  kStability,   ///< stability-monitor sample (callback)
+  kGeneric,     ///< any callback parked on the wheel
 };
-inline constexpr std::size_t kNumTimerClasses = 11;
+inline constexpr std::size_t kNumTimerClasses = 6;
 
 class EventQueue {
  public:

@@ -17,9 +17,8 @@ struct ExperimentSpec {
   graph::Topology topo;
   std::vector<topo::FlowSpec> flows;
   SimConfig config;
-  /// Which event engine runs the experiment (EngineSpec; default: the
-  /// classic single-threaded queue). Scenario files set it with the
-  /// `engine` directive, mdrsim with --shards.
+  /// Shard count and window knobs (EngineSpec; default: 1 shard). Scenario
+  /// files set it with the `engine` directive, mdrsim with --shards.
   EngineSpec engine;
 };
 

@@ -176,11 +176,11 @@ void SimLink::finish_transmission() {
 void SimLink::schedule_delivery(Packet packet, Duration delay) {
   ++(packet.kind == Packet::Kind::kData ? wire_sent_data_
                                         : wire_sent_control_);
-  if (!sharded_wire_) {
+  if (!keyed_wire_) {
     events_->schedule_delivery(delay, this, epoch_, std::move(packet));
     return;
   }
-  // Sharded wire: a canonical (link, wire seq) key orders this delivery
+  // Keyed wire: a canonical (link, wire seq) key orders this delivery
   // identically for every shard count, and the event executes on the
   // destination node's shard — directly when that is our own queue, through
   // the handoff channel when it is not.

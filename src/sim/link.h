@@ -148,26 +148,28 @@ class SimLink {
   /// Attaches the wall-clock profiler (packet-path sections). `owner` times
   /// enqueue admission + service start and belongs to the transmitter's
   /// shard; `dest` times the delivery hand-up, which executes on the far
-  /// end's shard (the same instance on the classic engine). Two pointers so
-  /// each profiler stays single-threaded. Off by default; one branch per
-  /// packet when off.
+  /// end's shard (the same instance when both ends share a shard). Two
+  /// pointers so each profiler stays single-threaded. Off by default; one
+  /// branch per packet when off.
   void set_prof(obs::Profiler* owner, obs::Profiler* dest) {
     prof_ = owner;
     deliver_prof_ = dest;
   }
 
-  /// Switches the wire to sharded operation: every delivery is scheduled
-  /// under a canonical (link id, wire seq) key — into `dest_queue` when the
-  /// far end lives on the same shard, through `channel` otherwise (exactly
-  /// one of the two must be non-null). handle_delivery then executes on the
-  /// DESTINATION shard; the owning shard keeps every other field.
-  void enable_sharded_wire(graph::LinkId id, EventQueue* dest_queue,
-                           HandoffChannel* channel) {
+  /// Switches the wire to the engine's keyed operation: every delivery is
+  /// scheduled under a canonical (link id, wire seq) key — into
+  /// `dest_queue` when the far end lives on the same shard, through
+  /// `channel` otherwise (exactly one of the two must be non-null).
+  /// handle_delivery then executes on the DESTINATION shard; the owning
+  /// shard keeps every other field. NetworkSim wires every link this way;
+  /// a standalone link (tests, benches) keeps the plain FIFO wire.
+  void use_keyed_wire(graph::LinkId id, EventQueue* dest_queue,
+                      HandoffChannel* channel) {
     assert((dest_queue != nullptr) != (channel != nullptr));
     link_id_ = id;
     dest_queue_ = dest_queue;
     channel_ = channel;
-    sharded_wire_ = true;
+    keyed_wire_ = true;
   }
 
   /// Wire ledger (tests): data packets ever put on the wire.
@@ -258,8 +260,8 @@ class SimLink {
   obs::Profiler* prof_ = nullptr;          ///< transmitter-shard sections
   obs::Profiler* deliver_prof_ = nullptr;  ///< destination-shard delivery
 
-  // Sharded wire (enable_sharded_wire); unused in single-threaded mode.
-  bool sharded_wire_ = false;
+  // Keyed wire (use_keyed_wire); unused by a standalone link.
+  bool keyed_wire_ = false;
   graph::LinkId link_id_ = graph::kInvalidLink;
   EventQueue* dest_queue_ = nullptr;   ///< same-shard destination queue
   HandoffChannel* channel_ = nullptr;  ///< cross-shard handoff

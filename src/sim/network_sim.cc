@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <limits>
 #include <map>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -22,25 +24,43 @@ using graph::NodeId;
 
 namespace {
 
-// Rebuild descriptors for checkpointable callback events: every generic
-// schedule_at/schedule_timer call site below tags its closure with one of
-// these opcodes plus an (a, b) payload, and make_codec()'s factory rebuilds
-// an equivalent closure from the descriptor at restore time. The payload is
-// always an index into SimConfig-owned lists (or a node id), never a
-// pointer, so descriptors survive process death.
-constexpr std::uint8_t kOpNodeStart = 1;       ///< a = node id
-constexpr std::uint8_t kOpLinkToggle = 2;      ///< a = link_toggles index
-constexpr std::uint8_t kOpCrash = 3;           ///< a = faults.crashes index
-constexpr std::uint8_t kOpRecovery = 4;        ///< a = faults.recoveries index
-constexpr std::uint8_t kOpFlap = 5;            ///< a = flaps index, b = down
-constexpr std::uint8_t kOpDuty = 6;            ///< a = duty index, b = down
-constexpr std::uint8_t kOpMonitorTick = 7;
-constexpr std::uint8_t kOpLfiTick = 8;
-constexpr std::uint8_t kOpTimeseriesTick = 9;
-constexpr std::uint8_t kOpSamplerTick = 10;
-constexpr std::uint8_t kOpStabilityTick = 11;
+// Rebuild descriptor for the one checkpointable callback event: node
+// bring-up at t=0 carries this opcode plus the node id, and make_codec()'s
+// factory rebuilds an equivalent closure from it at restore time. Every
+// other global activity is a coordinator pause, never a queue event.
+constexpr std::uint8_t kOpNodeStart = 1;  ///< a = node id
 
 }  // namespace
+
+void validate_engine(const graph::Topology& topo, const SimConfig& config,
+                     const EngineSpec& engine) {
+  if (engine.shards < 1) {
+    throw std::invalid_argument("engine needs shards >= 1 (got " +
+                                std::to_string(engine.shards) + ")");
+  }
+  if (engine.shards > 1 && (config.trace || config.flightrec_capacity > 0)) {
+    throw std::invalid_argument(
+        "trace/flightrec needs shards=1 (the flight recorder is "
+        "single-threaded): drop them or run with 1 shard");
+  }
+  if (engine.shards == 1) return;
+  // A zero-delay link between two shards makes the lookahead 0: every
+  // window would be empty and the coordinator would spin forever.
+  const std::vector<int> shard_of = assign_shards(topo, engine.shards);
+  for (LinkId id = 0; id < static_cast<LinkId>(topo.num_links()); ++id) {
+    const auto& l = topo.link(id);
+    if (shard_of[l.from] == shard_of[l.to] || l.attr.prop_delay_s > 0) {
+      continue;
+    }
+    throw std::invalid_argument(
+        "link " + std::string(topo.name(l.from)) + " " +
+        std::string(topo.name(l.to)) +
+        " has zero propagation delay and its ends sit on different shards "
+        "(shards=" + std::to_string(engine.shards) +
+        "): the engine's lookahead would be 0 and it could never advance; "
+        "give the link prop > 0 or use shards=1");
+  }
+}
 
 NetworkSim::NetworkSim(const graph::Topology& topo,
                        const std::vector<topo::FlowSpec>& flows,
@@ -49,13 +69,9 @@ NetworkSim::NetworkSim(const graph::Topology& topo,
       flow_specs_(flows),
       config_(config),
       master_rng_(config.seed),
-      engine_(engine),
-      sharded_(engine.shards >= 1) {
+      engine_(engine) {
   assert(config.mode != RoutingMode::kStatic || config.static_phi != nullptr);
-  // The flight recorder (and full tracing) is single-threaded by design;
-  // scenario validation and mdrsim reject the combination with a real error
-  // before it can reach this assert.
-  assert(!sharded_ || (!config.trace && config.flightrec_capacity == 0));
+  validate_engine(topo, config, engine);
   build();
 }
 
@@ -64,62 +80,51 @@ void NetworkSim::build() {
   measure_start_ = config_.traffic_start + config_.warmup;
   flow_delays_.resize(flow_specs_.size());
 
-  if (sharded_) {
-    const int num_shards = engine_.shards;
-    shard_of_ = assign_shards(*topo_, num_shards);
-    for (int s = 0; s < num_shards; ++s) {
-      shards_.push_back(std::make_unique<Shard>());
+  const auto shard_count = static_cast<std::size_t>(engine_.shards);
+  shard_of_ = assign_shards(*topo_, engine_.shards);
+  for (std::size_t s = 0; s < shard_count; ++s) {
+    shards_.push_back(std::make_unique<Shard>());
+  }
+  channels_.resize(shard_count * shard_count);
+  for (std::size_t p = 0; p < shard_count; ++p) {
+    for (std::size_t q = 0; q < shard_count; ++q) {
+      if (p == q) continue;
+      channels_[p * shard_count + q] =
+          std::make_unique<HandoffChannel>(engine_.ring_capacity);
     }
-    channels_.resize(static_cast<std::size_t>(num_shards) * num_shards);
-    for (int p = 0; p < num_shards; ++p) {
-      for (int q = 0; q < num_shards; ++q) {
-        if (p == q) continue;
-        channels_[static_cast<std::size_t>(p) * num_shards + q] =
-            std::make_unique<HandoffChannel>(engine_.ring_capacity);
-      }
-    }
-    lookahead_ = min_cross_shard_prop(*topo_, shard_of_);
-    if (engine_.lookahead_override > 0) {
-      lookahead_ = std::min(lookahead_, engine_.lookahead_override);
-    }
-    // A zero-delay cross-shard link would make every window empty; the
-    // topologies here all carry positive propagation delays.
-    assert(lookahead_ > 0);
-    wf_window_delay_sum_.assign(flow_specs_.size(), 0.0);
-    wf_window_delivered_.assign(flow_specs_.size(), 0);
+  }
+  // validate_engine() rejected zero-delay cross-shard links, so the
+  // lookahead is positive (+infinity when every link is shard-local).
+  lookahead_ = min_cross_shard_prop(*topo_, shard_of_);
+  if (engine_.lookahead_override > 0) {
+    lookahead_ = std::min(lookahead_, engine_.lookahead_override);
   }
   if (config_.prof) {
-    // One profiler + span recorder per event-executing context. Sharded runs
-    // get one extra profiler for the coordinator: the barrier completion
-    // hook runs on whichever worker arrives last, and a dedicated instance
-    // keeps every profiler single-threaded and its counts deterministic.
-    const auto contexts =
-        sharded_ ? static_cast<std::size_t>(engine_.shards) : std::size_t{1};
+    // One profiler + span recorder per shard, plus one profiler for the
+    // coordinator: the barrier completion hook runs on whichever worker
+    // arrives last, and a dedicated instance keeps every profiler
+    // single-threaded and its counts deterministic.
     const std::uint64_t timed_mask =
         config_.prof_deep ? obs::kProfTimeAll : obs::kProfTimeDefault;
-    for (std::size_t s = 0; s < contexts; ++s) {
+    for (std::size_t s = 0; s <= shard_count; ++s) {
       profilers_.push_back(std::make_unique<obs::Profiler>(timed_mask));
+    }
+    for (std::size_t s = 0; s < shard_count; ++s) {
       span_recorders_.push_back(
           std::make_unique<obs::SpanRecorder>(topo_->num_nodes()));
+      shards_[s]->events.set_profiler(profilers_[s].get());
     }
-    if (sharded_) {
-      profilers_.push_back(std::make_unique<obs::Profiler>(timed_mask));
-      window_busy_ns_.assign(contexts, 0);
-      for (std::size_t s = 0; s < contexts; ++s) {
-        shards_[s]->events.set_profiler(profilers_[s].get());
-      }
-    } else {
-      events_.set_profiler(profilers_[0].get());
-    }
+    window_busy_ns_.assign(shard_count, 0);
     coord_prof_ = profilers_.back().get();
   }
   // Covers the rest of entity construction; a no-op branch when prof is off.
   obs::ProfScope build_scope(coord_prof_, obs::ProfSection::kSimBuild);
 
-  const auto queue_for = [this](NodeId i) -> EventQueue& {
-    return sharded_
-               ? shards_[static_cast<std::size_t>(shard_of_[i])]->events
-               : events_;
+  const auto shard_index = [this](NodeId i) {
+    return static_cast<std::size_t>(shard_of_[i]);
+  };
+  const auto queue_for = [&](NodeId i) -> EventQueue& {
+    return shards_[shard_index(i)]->events;
   };
 
   NodeOptions node_options;
@@ -143,77 +148,37 @@ void NetworkSim::build() {
     stab_flow_delay_sum_.assign(flow_specs_.size(), 0.0);
   }
 
-  NodeCallbacks callbacks;
-  callbacks.delivered = [this](const Packet& p, Duration delay) {
-    ++total_delivered_;
-    window_delay_sum_ += delay;
-    ++window_delivered_;
-    if (p.flow_id < 0) return;
-    if (stability_enabled_) {
-      const auto sf = static_cast<std::size_t>(p.flow_id);
-      ++stab_flow_delivered_[sf];
-      stab_flow_delay_sum_[sf] += delay;
-    }
-    const bool measured = p.created >= measure_start_;
-    if (telemetry_enabled_) {
-      auto& acc = flow_accum_[static_cast<std::size_t>(p.flow_id)];
-      ++acc.delivered;
-      acc.delay_sum_s += delay;
-      if (measured) {
-        ++acc.measured_delivered;
-        acc.measured_delay_sum_s += delay;
-        delay_hist_->record(delay);
-      }
-    }
-    if (!measured) return;
-    flow_delays_[static_cast<std::size_t>(p.flow_id)].add(delay);
-  };
-  callbacks.dropped = [this](const Packet& p) {
-    ++window_dropped_;
-    if (telemetry_enabled_ && p.flow_id >= 0) {
-      ++flow_accum_[static_cast<std::size_t>(p.flow_id)].dropped;
-    }
-  };
-
   for (NodeId i = 0; i < n; ++i) {
-    NodeCallbacks cb = callbacks;
-    if (sharded_) {
-      // Sharded accounting: per-shard integer counters plus per-flow sums
-      // written only by the flow's destination shard, so every field has a
-      // single writer and the float reduction order (flow order at merge
-      // time) is identical for every shard count.
-      const auto s = static_cast<std::size_t>(shard_of_[i]);
-      cb.delivered = [this, s](const Packet& p, Duration delay) {
-        auto& shard = *shards_[s];
-        ++shard.delivered;
-        if (p.flow_id < 0) {
-          ++shard.noflow_window_delivered;
-          return;
+    // Per-shard integer counters plus per-flow sums written only by the
+    // flow's destination shard: every field has a single writer and the
+    // float reduction order (flow order at merge time) is identical for
+    // every shard count.
+    const std::size_t s = shard_index(i);
+    NodeCallbacks cb;
+    cb.delivered = [this, s](const Packet& p, Duration delay) {
+      ++shards_[s]->delivered;
+      if (p.flow_id < 0) return;
+      const auto f = static_cast<std::size_t>(p.flow_id);
+      if (stability_enabled_) {
+        ++stab_flow_delivered_[f];
+        stab_flow_delay_sum_[f] += delay;
+      }
+      const bool measured = p.created >= measure_start_;
+      if (telemetry_enabled_) {
+        auto& acc = flow_accum_[f];
+        ++acc.delivered;
+        acc.delay_sum_s += delay;
+        if (measured) {
+          ++acc.measured_delivered;
+          acc.measured_delay_sum_s += delay;
+          flow_hist_[f].record(delay);
         }
-        const auto f = static_cast<std::size_t>(p.flow_id);
-        wf_window_delay_sum_[f] += delay;
-        ++wf_window_delivered_[f];
-        if (stability_enabled_) {
-          // Single writer: the flow's destination lives on this shard.
-          ++stab_flow_delivered_[f];
-          stab_flow_delay_sum_[f] += delay;
-        }
-        const bool measured = p.created >= measure_start_;
-        if (telemetry_enabled_) {
-          auto& acc = flow_accum_[f];
-          ++acc.delivered;
-          acc.delay_sum_s += delay;
-          if (measured) {
-            ++acc.measured_delivered;
-            acc.measured_delay_sum_s += delay;
-            flow_hist_[f].record(delay);
-          }
-        }
-        if (measured) flow_delays_[f].add(delay);
-      };
+      }
+      if (measured) flow_delays_[f].add(delay);
+    };
+    if (telemetry_enabled_) {
       cb.dropped = [this, s](const Packet& p) {
-        ++shards_[s]->window_dropped;
-        if (telemetry_enabled_ && p.flow_id >= 0) {
+        if (p.flow_id >= 0) {
           ++sflow_dropped_[s][static_cast<std::size_t>(p.flow_id)];
         }
       };
@@ -267,25 +232,17 @@ void NetworkSim::build() {
         queue_for(l.from), l.attr, config_.estimator, config_.mean_packet_bits,
         [to](Packet p) { to->receive(std::move(p)); }, options,
         master_rng_.split()));
-    if (sharded_) {
-      // The transmitter (and its estimators and RNG) belongs to the FROM
-      // shard; deliveries execute on the TO shard — directly into its queue
-      // when both endpoints share a shard, through the handoff ring
-      // otherwise.
-      const int from_shard = shard_of_[l.from];
-      const int to_shard = shard_of_[l.to];
-      links_.back()->enable_sharded_wire(
-          id,
-          from_shard == to_shard
-              ? &shards_[static_cast<std::size_t>(to_shard)]->events
-              : nullptr,
-          from_shard == to_shard
-              ? nullptr
-              : channels_[static_cast<std::size_t>(from_shard) *
-                              engine_.shards +
-                          to_shard]
-                    .get());
-    }
+    // The transmitter (and its estimators and RNG) belongs to the FROM
+    // shard; deliveries execute on the TO shard — directly into its queue
+    // when both endpoints share a shard, through the handoff ring
+    // otherwise.
+    const std::size_t from_shard = shard_index(l.from);
+    const std::size_t to_shard = shard_index(l.to);
+    const bool local = from_shard == to_shard;
+    links_.back()->use_keyed_wire(
+        id, local ? &shards_[to_shard]->events : nullptr,
+        local ? nullptr
+              : channels_[from_shard * shard_count + to_shard].get());
     nodes_[l.from]->attach_link(l.to, links_.back().get());
   }
 
@@ -293,16 +250,12 @@ void NetworkSim::build() {
     // Every instrument is owned by the shard whose thread executes it: a
     // node's protocol work runs on its own shard, a link's transmitter on
     // the FROM shard and its delivery hand-up on the TO shard.
-    const auto prof_for = [this](NodeId i) {
-      return profilers_[sharded_ ? static_cast<std::size_t>(shard_of_[i]) : 0]
-          .get();
+    const auto prof_for = [&](NodeId i) {
+      return profilers_[shard_index(i)].get();
     };
     for (NodeId i = 0; i < n; ++i) {
       nodes_[i]->set_prof(prof_for(i));
-      nodes_[i]->set_spans(
-          span_recorders_[sharded_ ? static_cast<std::size_t>(shard_of_[i])
-                                   : 0]
-              .get());
+      nodes_[i]->set_spans(span_recorders_[shard_index(i)].get());
     }
     for (LinkId id = 0; id < static_cast<LinkId>(topo_->num_links()); ++id) {
       const auto& l = topo_->link(id);
@@ -312,13 +265,16 @@ void NetworkSim::build() {
 
   if (telemetry_enabled_) {
     telemetry_.sample_interval = config_.sample_interval;
-    if (!sharded_) {
+    if (config_.trace || config_.flightrec_capacity > 0) {
+      // validate_engine() allows the recorder only at one shard, so shard
+      // 0's clock is the simulation clock — and it equals the pause instant
+      // whenever pause handlers (crashes, monitor sweeps) record events.
       const std::size_t ring =
           config_.flightrec_capacity > 0 ? config_.flightrec_capacity : 256;
       recorder_ = std::make_unique<obs::FlightRecorder>(
           topo_->num_nodes(), ring, /*keep_all=*/config_.trace,
           &telemetry_.metrics);
-      const Time* clock = events_.now_ptr();
+      const Time* clock = shards_[0]->events.now_ptr();
       for (NodeId i = 0; i < n; ++i) {
         nodes_[i]->set_probe(obs::Probe{recorder_.get(), i, clock});
       }
@@ -328,26 +284,15 @@ void NetworkSim::build() {
         links_[id]->set_probe(
             obs::Probe{recorder_.get(), topo_->link(id).to, clock});
       }
-      delay_hist_ = &telemetry_.metrics.histogram("flow_delay_s");
-    } else {
-      // No flight recorder in sharded mode (asserted in the constructor).
-      // Per-flow histograms stand in for the shared delay_hist_ — single
-      // writer each — and merge into metrics["flow_delay_s"] in flow order
-      // when the run ends.
-      flow_hist_.resize(flow_specs_.size());
-      sflow_dropped_.assign(
-          static_cast<std::size_t>(engine_.shards),
-          std::vector<std::uint64_t>(flow_specs_.size(), 0));
     }
     flow_accum_.resize(flow_specs_.size());
+    flow_hist_.resize(flow_specs_.size());
+    sflow_dropped_.assign(shard_count,
+                          std::vector<std::uint64_t>(flow_specs_.size(), 0));
     if (config_.sample_interval > 0) {
       sampler_ = std::make_unique<obs::TimeSeriesSampler>(
           config_.sample_interval, topo_->num_links(), flow_specs_.size(),
           &telemetry_);
-      if (!sharded_) {
-        events_.schedule_timer(TimerClass::kSampler, config_.sample_interval,
-                               [this] { sample_tick(); }, kOpSamplerTick);
-      }
     }
   }
 
@@ -392,19 +337,11 @@ void NetworkSim::build() {
     shape.mean_packet_bits = config_.mean_packet_bits;
     SimNode* src_node = nodes_[shape.src].get();
     EventQueue& src_queue = queue_for(shape.src);
-    std::function<void(Packet)> inject;
-    if (sharded_) {
-      const auto s = static_cast<std::size_t>(shard_of_[shape.src]);
-      inject = [this, s, src_node](Packet p) {
-        ++shards_[s]->injected;  // conservation ledger, per-shard half
-        src_node->receive(std::move(p));
-      };
-    } else {
-      inject = [this, src_node](Packet p) {
-        ++injected_;  // conservation ledger: every data packet enters here
-        src_node->receive(std::move(p));
-      };
-    }
+    const std::function<void(Packet)> inject =
+        [this, s = shard_index(shape.src), src_node](Packet p) {
+          ++shards_[s]->injected;  // conservation ledger, per-shard half
+          src_node->receive(std::move(p));
+        };
     // Rate modulation (diurnal curve, flash crowds): the inner source runs
     // at the profile's peak rate and the wrapper thins emissions back down
     // to rate * multiplier(t). Episodes apply only to flows aimed at the
@@ -458,8 +395,6 @@ void NetworkSim::build() {
     sources_.back()->run(config_.traffic_start, stop);
   }
 
-  if (!sharded_) schedule_link_toggles();
-
   if (config_.monitor_interval > 0) {
     MonitorHooks hooks;
     hooks.node_alive = [this](NodeId i) { return nodes_[i]->alive(); };
@@ -488,13 +423,7 @@ void NetworkSim::build() {
     monitor_options.control_drop_budget = config_.monitor_control_drop_budget;
     monitor_ = std::make_unique<InvariantMonitor>(*topo_, std::move(hooks),
                                                   monitor_options);
-    if (!sharded_) {
-      events_.schedule_timer(TimerClass::kMonitor, config_.monitor_interval,
-                             [this] { monitor_check(); }, kOpMonitorTick);
-    }
   }
-
-  if (!sharded_) schedule_faults();
 
   if (stability_enabled_) {
     double total_capacity_bps = 0;
@@ -504,41 +433,19 @@ void NetworkSim::build() {
     stability_ =
         std::make_unique<StabilityMonitor>(config_.stability,
                                            total_capacity_bps);
-    if (!sharded_) {
-      // Observation starts one interval after traffic does: the monitor's
-      // baseline must measure loaded steady state, not the silent
-      // convergence phase.
-      events_.schedule_timer(
-          TimerClass::kStability,
-          config_.traffic_start + config_.stability.interval,
-          [this] { stability_tick(); }, kOpStabilityTick);
-    }
   }
 
-  if (config_.lfi_check_interval > 0 && config_.mode != RoutingMode::kStatic &&
-      !sharded_) {
-    events_.schedule_timer(TimerClass::kLfi, config_.lfi_check_interval,
-                           [this] { lfi_check(); }, kOpLfiTick);
-  }
-  if (config_.timeseries_interval > 0 && !sharded_) {
-    events_.schedule_timer(TimerClass::kTimeseries, config_.timeseries_interval,
-                           [this] { timeseries_tick(); }, kOpTimeseriesTick);
-  }
-
-  // In sharded mode every global activity scheduled above through the
-  // wheel — toggles, faults, monitor / LFI / time-series / sampler ticks —
-  // becomes a coordinator pause executed at a window barrier instead.
-  if (sharded_) build_pause_plan();
+  build_pause_plan();
 }
 
 std::uint64_t NetworkSim::injected_total() const {
-  std::uint64_t total = injected_;
+  std::uint64_t total = 0;
   for (const auto& shard : shards_) total += shard->injected;
   return total;
 }
 
 std::uint64_t NetworkSim::delivered_total() const {
-  std::uint64_t total = total_delivered_;
+  std::uint64_t total = 0;
   for (const auto& shard : shards_) total += shard->delivered;
   return total;
 }
@@ -622,78 +529,20 @@ EventQueueCodec NetworkSim::make_codec() {
     return (*concrete)[i];
   };
   c.make_callback = [this](std::uint8_t tag, std::uint64_t a,
-                           double b) -> std::function<void()> {
-    switch (tag) {
-      case kOpNodeStart: {
-        if (a >= nodes_.size()) {
-          throw ckpt::Error("node-start descriptor out of range");
-        }
-        SimNode* node = nodes_[a].get();
-        return [node] { node->start(); };
-      }
-      case kOpLinkToggle: {
-        if (a >= config_.link_toggles.size()) {
-          throw ckpt::Error("link-toggle descriptor out of range");
-        }
-        const auto& t = config_.link_toggles[a];
-        const NodeId na = topo_->find_node(t.a);
-        const NodeId nb = topo_->find_node(t.b);
-        return [this, na, nb, up = t.up, silent = t.silent] {
-          toggle_duplex(na, nb, up, silent);
-        };
-      }
-      case kOpCrash: {
-        if (a >= config_.faults.crashes.size()) {
-          throw ckpt::Error("crash descriptor out of range");
-        }
-        const NodeId x = topo_->find_node(config_.faults.crashes[a].node);
-        return [this, x] { crash_node(x); };
-      }
-      case kOpRecovery: {
-        if (a >= config_.faults.recoveries.size()) {
-          throw ckpt::Error("recovery descriptor out of range");
-        }
-        const NodeId x = topo_->find_node(config_.faults.recoveries[a].node);
-        return [this, x] { recover_node(x); };
-      }
-      case kOpFlap: {
-        if (a >= config_.faults.flaps.size()) {
-          throw ckpt::Error("flap descriptor out of range");
-        }
-        const auto& flap = config_.faults.flaps[a];
-        const NodeId na = topo_->find_node(flap.a);
-        const NodeId nb = topo_->find_node(flap.b);
-        return [this, na, nb, down = b != 0] { flap_duplex(na, nb, down); };
-      }
-      case kOpDuty: {
-        if (a >= config_.faults.duty_cycles.size()) {
-          throw ckpt::Error("duty-cycle descriptor out of range");
-        }
-        const auto& duty = config_.faults.duty_cycles[a];
-        const NodeId na = topo_->find_node(duty.a);
-        const NodeId nb = topo_->find_node(duty.b);
-        return [this, na, nb, down = b != 0] { duty_duplex(na, nb, down); };
-      }
-      case kOpMonitorTick:
-        return [this] { monitor_check(); };
-      case kOpLfiTick:
-        return [this] { lfi_check(); };
-      case kOpTimeseriesTick:
-        return [this] { timeseries_tick(); };
-      case kOpSamplerTick:
-        return [this] { sample_tick(); };
-      case kOpStabilityTick:
-        return [this] { stability_tick(); };
-      default:
-        return nullptr;  // EventQueue::load reports the unknown tag
+                           double) -> std::function<void()> {
+    if (tag != kOpNodeStart) return nullptr;  // EventQueue::load reports it
+    if (a >= nodes_.size()) {
+      throw ckpt::Error("node-start descriptor out of range");
     }
+    SimNode* node = nodes_[a].get();
+    return [node] { node->start(); };
   };
   return c;
 }
 
 void NetworkSim::save_checkpoint(const std::string& path) {
-  // Save runs on the coordinator (a pause handler, or the classic engine's
-  // slice boundary), so it bills to the coordinator profiler.
+  // Save runs on the coordinator (a pause handler), so it bills to the
+  // coordinator profiler.
   obs::ProfScope prof_scope(coord_prof_, obs::ProfSection::kCkptSave);
   const auto wall_start = std::chrono::steady_clock::now();
   ckpt::Writer w;
@@ -703,23 +552,15 @@ void NetworkSim::save_checkpoint(const std::string& path) {
   w.u64(nodes_.size());
   w.u64(links_.size());
   w.u64(sources_.size());
-  // Resume cursor: where the engine loop picks back up.
-  if (!sharded_) {
-    w.u64(ckpt_slice_);
-  } else {
-    w.u64(ckpt_pause_idx_);
-    w.f64(ckpt_clock_);
-    w.b(ckpt_tie_done_);
-  }
+  // Resume cursor: where the window loop picks back up.
+  w.u64(ckpt_pause_idx_);
+  w.f64(ckpt_clock_);
+  w.b(ckpt_tie_done_);
   master_rng_.save(w);
   const EventQueueCodec codec = make_codec();
-  if (!sharded_) {
-    events_.save(w, codec);
-  } else {
-    // Window barrier: the channels were drained before any pause ran, so
-    // the complete pending-event state lives in the shard queues.
-    for (const auto& shard : shards_) shard->events.save(w, codec);
-  }
+  // Window barrier: the channels were drained before any pause ran, so the
+  // complete pending-event state lives in the shard queues.
+  for (const auto& shard : shards_) shard->events.save(w, codec);
   w.mark(0x52);
   for (const auto& node : nodes_) node->save(w);
   for (const auto& link : links_) link->save(w);
@@ -728,16 +569,6 @@ void NetworkSim::save_checkpoint(const std::string& path) {
   for (const auto& samples : flow_delays_) samples.save(w);
   w.u64(lfi_checks_);
   w.u64(lfi_violations_);
-  w.u64(timeseries_.size());
-  for (const auto& tp : timeseries_) {
-    w.f64(tp.t);
-    w.u64(tp.delivered);
-    w.f64(tp.mean_delay_s);
-    w.u64(tp.dropped);
-  }
-  w.f64(window_delay_sum_);
-  w.u64(window_delivered_);
-  w.u64(window_dropped_);
   for (const auto& hold : link_holds_) {
     w.b(hold.admin_down);
     w.b(hold.flap_down);
@@ -749,8 +580,6 @@ void NetworkSim::save_checkpoint(const std::string& path) {
   if (stability_ != nullptr) stability_->save(w);
   for (std::uint64_t v : stab_flow_delivered_) w.u64(v);
   for (double v : stab_flow_delay_sum_) w.f64(v);
-  w.u64(injected_);
-  w.u64(total_delivered_);
   w.mark(0x54);
   if (telemetry_enabled_) {
     telemetry_.save(w);
@@ -759,27 +588,20 @@ void NetworkSim::save_checkpoint(const std::string& path) {
       w.f64(acc.delay_sum_s);
       w.u64(acc.measured_delivered);
       w.f64(acc.measured_delay_sum_s);
-      w.u64(acc.dropped);
     }
+    for (const auto& per_shard : sflow_dropped_) {
+      for (std::uint64_t v : per_shard) w.u64(v);
+    }
+    for (const auto& h : flow_hist_) h.save(w);
     w.b(recorder_ != nullptr);
     if (recorder_ != nullptr) recorder_->save(w);
     w.b(sampler_ != nullptr);
     if (sampler_ != nullptr) sampler_->save(w);
   }
-  if (sharded_) {
-    w.mark(0x55);
-    for (const auto& shard : shards_) {
-      w.u64(shard->injected);
-      w.u64(shard->delivered);
-      w.u64(shard->window_dropped);
-      w.u64(shard->noflow_window_delivered);
-    }
-    for (double v : wf_window_delay_sum_) w.f64(v);
-    for (std::uint64_t v : wf_window_delivered_) w.u64(v);
-    for (const auto& per_shard : sflow_dropped_) {
-      for (std::uint64_t v : per_shard) w.u64(v);
-    }
-    for (const auto& h : flow_hist_) h.save(w);
+  w.mark(0x55);
+  for (const auto& shard : shards_) {
+    w.u64(shard->injected);
+    w.u64(shard->delivered);
   }
   w.write_file(path);
   const double ms = std::chrono::duration<double, std::milli>(
@@ -788,7 +610,7 @@ void NetworkSim::save_checkpoint(const std::string& path) {
   // Informational cost line on stderr — NOT the metrics registry, so
   // telemetry output stays byte-identical with checkpointing on or off.
   std::fprintf(stderr, "[ckpt] save path=%s bytes=%zu ms=%.2f t=%.17g\n",
-               path.c_str(), w.payload().size(), ms, now_sim());
+               path.c_str(), w.payload().size(), ms, global_now_);
 }
 
 void NetworkSim::restore_checkpoint(const std::string& path) {
@@ -812,24 +634,16 @@ void NetworkSim::restore_checkpoint(const std::string& path) {
     throw ckpt::Error(
         "checkpoint topology does not match this configuration");
   }
-  if (!sharded_) {
-    ckpt_slice_ = r.u64();
-  } else {
-    ckpt_pause_idx_ = r.u64();
-    ckpt_clock_ = r.f64();
-    ckpt_tie_done_ = r.b();
-    if (ckpt_pause_idx_ > pauses_.size()) {
-      throw ckpt::Error("checkpoint pause cursor out of range");
-    }
-    global_now_ = ckpt_clock_;
+  ckpt_pause_idx_ = r.u64();
+  ckpt_clock_ = r.f64();
+  ckpt_tie_done_ = r.b();
+  if (ckpt_pause_idx_ > pauses_.size()) {
+    throw ckpt::Error("checkpoint pause cursor out of range");
   }
+  global_now_ = ckpt_clock_;
   master_rng_.load(r);
   const EventQueueCodec codec = make_codec();
-  if (!sharded_) {
-    events_.load(r, codec);
-  } else {
-    for (auto& shard : shards_) shard->events.load(r, codec);
-  }
+  for (auto& shard : shards_) shard->events.load(r, codec);
   r.expect_mark(0x52);
   for (auto& node : nodes_) node->load(r);
   // SimLink::load restores up_ and the failure epoch directly — deriving
@@ -841,19 +655,6 @@ void NetworkSim::restore_checkpoint(const std::string& path) {
   for (auto& samples : flow_delays_) samples.load(r);
   lfi_checks_ = r.u64();
   lfi_violations_ = r.u64();
-  timeseries_.clear();
-  const std::uint64_t n_points = r.u64();
-  for (std::uint64_t i = 0; i < n_points; ++i) {
-    TimePoint tp;
-    tp.t = r.f64();
-    tp.delivered = r.u64();
-    tp.mean_delay_s = r.f64();
-    tp.dropped = r.u64();
-    timeseries_.push_back(tp);
-  }
-  window_delay_sum_ = r.f64();
-  window_delivered_ = r.u64();
-  window_dropped_ = r.u64();
   for (auto& hold : link_holds_) {
     hold.admin_down = r.b();
     hold.flap_down = r.b();
@@ -869,8 +670,6 @@ void NetworkSim::restore_checkpoint(const std::string& path) {
   if (stability_ != nullptr) stability_->load(r);
   for (auto& v : stab_flow_delivered_) v = r.u64();
   for (auto& v : stab_flow_delay_sum_) v = r.f64();
-  injected_ = r.u64();
-  total_delivered_ = r.u64();
   r.expect_mark(0x54);
   if (telemetry_enabled_) {
     telemetry_.load(r);
@@ -879,8 +678,11 @@ void NetworkSim::restore_checkpoint(const std::string& path) {
       acc.delay_sum_s = r.f64();
       acc.measured_delivered = r.u64();
       acc.measured_delay_sum_s = r.f64();
-      acc.dropped = r.u64();
     }
+    for (auto& per_shard : sflow_dropped_) {
+      for (auto& v : per_shard) v = r.u64();
+    }
+    for (auto& h : flow_hist_) h.load(r);
     if (r.b() != (recorder_ != nullptr)) {
       throw ckpt::Error("checkpoint flight-recorder mode mismatch");
     }
@@ -890,20 +692,10 @@ void NetworkSim::restore_checkpoint(const std::string& path) {
     }
     if (sampler_ != nullptr) sampler_->load(r);
   }
-  if (sharded_) {
-    r.expect_mark(0x55);
-    for (auto& shard : shards_) {
-      shard->injected = r.u64();
-      shard->delivered = r.u64();
-      shard->window_dropped = r.u64();
-      shard->noflow_window_delivered = r.u64();
-    }
-    for (auto& v : wf_window_delay_sum_) v = r.f64();
-    for (auto& v : wf_window_delivered_) v = r.u64();
-    for (auto& per_shard : sflow_dropped_) {
-      for (auto& v : per_shard) v = r.u64();
-    }
-    for (auto& h : flow_hist_) h.load(r);
+  r.expect_mark(0x55);
+  for (auto& shard : shards_) {
+    shard->injected = r.u64();
+    shard->delivered = r.u64();
   }
   r.expect_end();
   resumed_ = true;
@@ -911,89 +703,14 @@ void NetworkSim::restore_checkpoint(const std::string& path) {
                         std::chrono::steady_clock::now() - wall_start)
                         .count();
   std::fprintf(stderr, "[ckpt] load path=%s ms=%.2f t=%.17g\n", path.c_str(),
-               ms, now_sim());
+               ms, global_now_);
 }
 
 std::optional<obs::Telemetry> NetworkSim::take_partial_telemetry() {
   if (!telemetry_enabled_) return std::nullopt;
-  if (sampler_ != nullptr) take_samples(now_sim());
+  if (sampler_ != nullptr) take_samples(global_now_);
   if (recorder_ != nullptr) telemetry_.trace = recorder_->take_trace();
   return std::move(telemetry_);
-}
-
-void NetworkSim::at_safe_boundary() {
-  if (config_.cancel != nullptr &&
-      config_.cancel->load(std::memory_order_relaxed)) {
-    throw SimCancelled();
-  }
-  if (config_.interrupt != nullptr &&
-      config_.interrupt->load(std::memory_order_relaxed)) {
-    // Checkpoint first: the snapshot must not contain the flush-only tail
-    // sample take_partial_telemetry() adds, or a resumed run would diverge
-    // from an uninterrupted one.
-    if (!config_.checkpoint_path.empty()) {
-      save_checkpoint(config_.checkpoint_path);
-    }
-    throw SimInterrupted(take_partial_telemetry());
-  }
-  if (config_.checkpoint_interval > 0 && !config_.checkpoint_path.empty()) {
-    save_checkpoint(config_.checkpoint_path);
-  }
-}
-
-void NetworkSim::monitor_check() {
-  monitor_->check(events_.now());
-  events_.schedule_timer(TimerClass::kMonitor,
-                         events_.now() + config_.monitor_interval,
-                         [this] { monitor_check(); }, kOpMonitorTick);
-}
-
-void NetworkSim::schedule_faults() {
-  const auto& plan = config_.faults;
-  for (std::size_t c = 0; c < plan.crashes.size(); ++c) {
-    const NodeId x = topo_->find_node(plan.crashes[c].node);
-    assert(x != graph::kInvalidNode);
-    events_.schedule_at(plan.crashes[c].at, [this, x] { crash_node(x); },
-                        kOpCrash, c);
-  }
-  for (std::size_t rec = 0; rec < plan.recoveries.size(); ++rec) {
-    const NodeId x = topo_->find_node(plan.recoveries[rec].node);
-    assert(x != graph::kInvalidNode);
-    events_.schedule_at(plan.recoveries[rec].at,
-                        [this, x] { recover_node(x); }, kOpRecovery, rec);
-  }
-  const Time sim_end = measure_start_ + config_.duration;
-  for (std::size_t fi = 0; fi < plan.flaps.size(); ++fi) {
-    const auto& flap = plan.flaps[fi];
-    const NodeId a = topo_->find_node(flap.a);
-    const NodeId b = topo_->find_node(flap.b);
-    assert(a != graph::kInvalidNode && b != graph::kInvalidNode);
-    assert(flap.period > 0 && flap.duty > 0 && flap.duty < 1);
-    // Each period starts up; the link goes down after the duty fraction and
-    // returns at the period boundary. Only whole cycles are scheduled, so a
-    // flapped link always ends the run up.
-    const Time stop = std::min(flap.stop, sim_end);
-    for (Time t = flap.start; t + flap.period <= stop + 1e-9;
-         t += flap.period) {
-      events_.schedule_at(t + flap.duty * flap.period,
-                          [this, a, b] { flap_duplex(a, b, /*down=*/true); },
-                          kOpFlap, fi, 1);
-      events_.schedule_at(t + flap.period,
-                          [this, a, b] { flap_duplex(a, b, /*down=*/false); },
-                          kOpFlap, fi, 0);
-    }
-  }
-  for (std::size_t di = 0; di < plan.duty_cycles.size(); ++di) {
-    const auto& duty = plan.duty_cycles[di];
-    const NodeId a = topo_->find_node(duty.a);
-    const NodeId b = topo_->find_node(duty.b);
-    assert(a != graph::kInvalidNode && b != graph::kInvalidNode);
-    for (const auto& edge : fault::duty_cycle_edges(duty, sim_end)) {
-      events_.schedule_at(edge.at, [this, a, b, down = edge.down] {
-        duty_duplex(a, b, down);
-      }, kOpDuty, di, edge.down ? 1 : 0);
-    }
-  }
 }
 
 void NetworkSim::apply_link_state(LinkId id) {
@@ -1037,26 +754,19 @@ void NetworkSim::crash_node(NodeId node) {
   if (!nodes_[node]->alive()) return;
   nodes_[node]->crash();
   apply_incident_links(node);  // its links drop, silently
-  if (monitor_ != nullptr) monitor_->on_crash(node, now_sim());
+  if (monitor_ != nullptr) monitor_->on_crash(node, global_now_);
 }
 
 void NetworkSim::recover_node(NodeId node) {
   if (nodes_[node]->alive()) return;
   nodes_[node]->recover();
   apply_incident_links(node);  // links return (unless still held down)
-  if (monitor_ != nullptr) monitor_->on_recover(node, now_sim());
-}
-
-void NetworkSim::stability_tick() {
-  stability_record(events_.now());
-  events_.schedule_timer(TimerClass::kStability,
-                         events_.now() + config_.stability.interval,
-                         [this] { stability_tick(); }, kOpStabilityTick);
+  if (monitor_ != nullptr) monitor_->on_recover(node, global_now_);
 }
 
 void NetworkSim::stability_record(Time now) {
   // Backlog in LinkId order, delivery sums in flow order: the same float
-  // additions in the same order for every engine and shard count.
+  // additions in the same order for every shard count.
   double queued_bits = 0;
   for (const auto& link : links_) queued_bits += link->queued_bits();
   std::uint64_t delivered = 0;
@@ -1074,59 +784,8 @@ void NetworkSim::stability_record(Time now) {
   }
 }
 
-void NetworkSim::timeseries_tick() {
-  timeseries_point(events_.now());
-  events_.schedule_timer(TimerClass::kTimeseries,
-                         events_.now() + config_.timeseries_interval,
-                         [this] { timeseries_tick(); }, kOpTimeseriesTick);
-}
-
-void NetworkSim::timeseries_point(Time now) {
-  TimePoint point;
-  point.t = now;
-  if (!sharded_) {
-    point.delivered = window_delivered_;
-    point.mean_delay_s = window_delivered_ > 0
-                             ? window_delay_sum_ /
-                                   static_cast<double>(window_delivered_)
-                             : 0.0;
-    point.dropped = window_dropped_;
-    window_delay_sum_ = 0;
-    window_delivered_ = 0;
-    window_dropped_ = 0;
-  } else {
-    // Per-flow sums reduce in flow order — the same float additions in the
-    // same order for every shard count.
-    double delay_sum = 0;
-    for (std::size_t f = 0; f < wf_window_delivered_.size(); ++f) {
-      point.delivered += wf_window_delivered_[f];
-      delay_sum += wf_window_delay_sum_[f];
-      wf_window_delivered_[f] = 0;
-      wf_window_delay_sum_[f] = 0;
-    }
-    for (auto& shard : shards_) {
-      point.delivered += shard->noflow_window_delivered;
-      point.dropped += shard->window_dropped;
-      shard->noflow_window_delivered = 0;
-      shard->window_dropped = 0;
-    }
-    point.mean_delay_s =
-        point.delivered > 0
-            ? delay_sum / static_cast<double>(point.delivered)
-            : 0.0;
-  }
-  timeseries_.push_back(point);
-}
-
 std::uint64_t NetworkSim::source_emitted(std::size_t flow) const {
   return sources_[flow]->emitted();
-}
-
-void NetworkSim::sample_tick() {
-  take_samples(events_.now());
-  events_.schedule_timer(TimerClass::kSampler,
-                         events_.now() + config_.sample_interval,
-                         [this] { sample_tick(); }, kOpSamplerTick);
 }
 
 void NetworkSim::take_samples(Time now) {
@@ -1151,13 +810,9 @@ void NetworkSim::take_samples(Time now) {
     c.delay_sum_s = acc.delay_sum_s;
     c.measured_delivered = acc.measured_delivered;
     c.measured_delay_sum_s = acc.measured_delay_sum_s;
-    if (!sharded_) {
-      c.dropped = acc.dropped;
-    } else {
-      // Node-level drops land in the dropping shard's per-flow counter;
-      // their sum is the engine-invariant cumulative figure.
-      for (const auto& per_shard : sflow_dropped_) c.dropped += per_shard[f];
-    }
+    // Node-level drops land in the dropping shard's per-flow counter; their
+    // sum is the shard-count-invariant cumulative figure.
+    for (const auto& per_shard : sflow_dropped_) c.dropped += per_shard[f];
     sampler_->record_flow(now, static_cast<int>(f), c);
   }
   const auto n = static_cast<NodeId>(topo_->num_nodes());
@@ -1209,13 +864,6 @@ void NetworkSim::take_samples(Time now) {
   sampler_->record_control(now, c);
 }
 
-void NetworkSim::lfi_check() {
-  lfi_sweep(events_.now());
-  events_.schedule_timer(TimerClass::kLfi,
-                         events_.now() + config_.lfi_check_interval,
-                         [this] { lfi_check(); }, kOpLfiTick);
-}
-
 void NetworkSim::lfi_sweep(Time now) {
   const auto n = static_cast<NodeId>(topo_->num_nodes());
   ++lfi_checks_;
@@ -1233,20 +881,6 @@ void NetworkSim::lfi_sweep(Time now) {
       ++lfi_violations_;
       MDR_LOG_WARN("LFI violated for destination %d at t=%.6f", j, now);
     }
-  }
-}
-
-void NetworkSim::schedule_link_toggles() {
-  for (std::size_t ti = 0; ti < config_.link_toggles.size(); ++ti) {
-    const auto& toggle = config_.link_toggles[ti];
-    const NodeId a = topo_->find_node(toggle.a);
-    const NodeId b = topo_->find_node(toggle.b);
-    assert(a != graph::kInvalidNode && b != graph::kInvalidNode);
-    events_.schedule_at(toggle.at,
-                        [this, a, b, up = toggle.up, silent = toggle.silent] {
-                          toggle_duplex(a, b, up, silent);
-                        },
-                        kOpLinkToggle, ti);
   }
 }
 
@@ -1283,8 +917,9 @@ void NetworkSim::build_pause_plan() {
               }});
   }
   const auto& plan = config_.faults;
-  // Rank 1: flap schedule — the same whole-cycle expansion as
-  // schedule_faults().
+  // Rank 1: flap schedule. Each period starts up; the link goes down after
+  // the duty fraction and returns at the period boundary. Only whole cycles
+  // are scheduled, so a flapped link always ends the run up.
   for (const auto& flap : plan.flaps) {
     const NodeId a = topo_->find_node(flap.a);
     const NodeId b = topo_->find_node(flap.b);
@@ -1301,8 +936,7 @@ void NetworkSim::build_pause_plan() {
                               }});
     }
   }
-  // Rank 2: duty-cycle schedule — the shared expansion from
-  // fault/duty_cycle.h, so both engines agree on every transition instant.
+  // Rank 2: duty-cycle schedule (the expansion in fault/duty_cycle.h).
   for (const auto& duty : plan.duty_cycles) {
     const NodeId a = topo_->find_node(duty.a);
     const NodeId b = topo_->find_node(duty.b);
@@ -1324,9 +958,8 @@ void NetworkSim::build_pause_plan() {
     assert(x != graph::kInvalidNode);
     pauses_.push_back(Pause{ev.at, 4, [this, x] { recover_node(x); }});
   }
-  // Ranks 5-9: the periodic observers. Each series mirrors its legacy
-  // wheel-timer chain: first tick one interval in, last tick at or before
-  // the drain horizon.
+  // Ranks 5-8: the periodic observers. First tick one interval in, last
+  // tick at or before the drain horizon.
   if (monitor_ != nullptr) {
     for (Time t = config_.monitor_interval; t <= horizon;
          t += config_.monitor_interval) {
@@ -1339,38 +972,33 @@ void NetworkSim::build_pause_plan() {
       pauses_.push_back(Pause{t, 6, [this, t] { lfi_sweep(t); }});
     }
   }
-  if (config_.timeseries_interval > 0) {
-    for (Time t = config_.timeseries_interval; t <= horizon;
-         t += config_.timeseries_interval) {
-      pauses_.push_back(Pause{t, 7, [this, t] { timeseries_point(t); }});
-    }
-  }
   if (sampler_ != nullptr) {
     for (Time t = config_.sample_interval; t <= horizon;
          t += config_.sample_interval) {
-      pauses_.push_back(Pause{t, 8, [this, t] { take_samples(t); }});
+      pauses_.push_back(Pause{t, 7, [this, t] { take_samples(t); }});
     }
   }
   if (stability_ != nullptr) {
-    // Same phase as the legacy chain: the first observation lands one
-    // interval after traffic starts.
+    // Observation starts one interval after traffic does: the monitor's
+    // baseline must measure loaded steady state, not the silent
+    // convergence phase.
     for (Time t = config_.traffic_start + config_.stability.interval;
          t <= horizon; t += config_.stability.interval) {
-      pauses_.push_back(Pause{t, 9, [this, t] { stability_record(t); }});
+      pauses_.push_back(Pause{t, 8, [this, t] { stability_record(t); }});
     }
   }
-  // Rank 10: checkpoint pauses, strictly after every same-instant activity
+  // Rank 9: checkpoint pauses, strictly after every same-instant activity
   // so the snapshot captures the instant's full effects. Placeholders only —
   // the handlers bind after the sort, because each must know its own pause
   // index to record the resume cursor.
   if (config_.checkpoint_interval > 0 && !config_.checkpoint_path.empty()) {
     for (Time t = config_.checkpoint_interval; t <= horizon;
          t += config_.checkpoint_interval) {
-      pauses_.push_back(Pause{t, 10, nullptr});
+      pauses_.push_back(Pause{t, 9, nullptr});
     }
   }
-  // Anything past the drain horizon could never execute under the legacy
-  // engine either; dropping it lets the window loop stop exactly there.
+  // Nothing past the drain horizon can execute; dropping it lets the
+  // window loop stop exactly there.
   std::erase_if(pauses_, [horizon](const Pause& p) { return p.at > horizon; });
   std::stable_sort(pauses_.begin(), pauses_.end(),
                    [](const Pause& x, const Pause& y) {
@@ -1586,67 +1214,26 @@ void NetworkSim::run_parallel_loop() {
 SimResult NetworkSim::run() {
   const auto wall_start = std::chrono::steady_clock::now();
   if (!config_.resume_from.empty()) restore_checkpoint(config_.resume_from);
-  const Time stop = measure_start_ + config_.duration;
-  if (sharded_) {
-    run_parallel_loop();
-    for ([[maybe_unused]] const auto& shard : shards_) {
-      assert(shard->events.pending_source_events() == 0);
-    }
-    if (sampler_ != nullptr) take_samples(global_now_);
-  } else {
-    // Stamp every MDR_LOG line emitted while events run with the sim time.
-    const ScopedLogClock log_clock(events_.now_ptr());
-    const Time horizon = stop + 0.5;  // drain: in-flight packets still land
-    const bool sliced = config_.checkpoint_interval > 0 ||
-                        config_.interrupt != nullptr ||
-                        config_.cancel != nullptr;
-    {
-      // Umbrella over queue advancement: at the default profiling level the
-      // per-event sections inside are count-only and this scope carries
-      // their wall time (obs/prof.h). Timed children — protocol phases,
-      // checkpoint saves at slice boundaries — subtract out of its self
-      // time as usual.
-      obs::ProfScope busy(coord_prof_, obs::ProfSection::kEngineBusy);
-      if (!sliced) {
-        events_.run_until(horizon);
-      } else {
-        // The same run in slices: run_until(a) followed by run_until(b)
-        // executes the identical event sequence as run_until(b) alone, so
-        // boundaries for checkpoints and interrupt checks cost nothing —
-        // checkpoint-enabled and plain runs stay byte-identical.
-        const Duration step = config_.checkpoint_interval > 0
-                                  ? config_.checkpoint_interval
-                                  : 1.0;
-        for (;;) {
-          const Time next = step * static_cast<double>(ckpt_slice_ + 1);
-          if (next >= horizon) break;
-          events_.run_until(next);
-          ++ckpt_slice_;
-          at_safe_boundary();
-        }
-        events_.run_until(horizon);
-      }
-    }
-    // Sources never schedule past their stop time, so after the drain only
-    // protocol events (timers, retransmissions) may remain pending.
-    assert(events_.pending_source_events() == 0);
-    // Tail window (sums reconcile).
-    if (sampler_ != nullptr) take_samples(events_.now());
+  run_parallel_loop();
+  // Sources never schedule past their stop time, so after the drain only
+  // protocol events (timers, retransmissions) may remain pending.
+  for ([[maybe_unused]] const auto& shard : shards_) {
+    assert(shard->events.pending_source_events() == 0);
   }
+  // Tail window (sums reconcile).
+  if (sampler_ != nullptr) take_samples(global_now_);
 
   // Result assembly is a profiled section of its own; enter/exit is manual
   // (not a ProfScope) so the section is closed before make_prof_report
   // snapshots the tracks below.
   if (coord_prof_ != nullptr) coord_prof_->enter(obs::ProfSection::kSimReport);
   SimResult result;
-  result.events_processed = events_.processed();
   for (const auto& shard : shards_) {
     result.shard_events.push_back(shard->events.processed());
     result.events_processed += shard->events.processed();
   }
   result.lfi_checks = lfi_checks_;
   result.lfi_violations = lfi_violations_;
-  result.timeseries = timeseries_;
   double delay_weighted = 0;
   for (std::size_t f = 0; f < flow_specs_.size(); ++f) {
     const auto& spec = flow_specs_[f];
@@ -1709,17 +1296,15 @@ SimResult NetworkSim::run() {
     result.links.push_back(LinkLoad{
         std::string(topo_->name(l.from)), std::string(topo_->name(l.to)),
         link.data_bits(), link.control_bits(),
-        link.utilization_estimate(now_sim())});
+        link.utilization_estimate(global_now_)});
   }
   if (telemetry_enabled_) {
     if (recorder_ != nullptr) telemetry_.trace = recorder_->take_trace();
-    if (sharded_) {
-      // The per-flow histograms (single writer each) merge in flow order:
-      // the same bucket additions for every shard count.
-      auto& h = telemetry_.metrics.histogram("flow_delay_s");
-      for (const auto& fh : flow_hist_) h.merge(fh);
-    }
     auto& m = telemetry_.metrics;
+    // The per-flow histograms (single writer each) merge in flow order: the
+    // same bucket additions for every shard count.
+    auto& h = m.histogram("flow_delay_s");
+    for (const auto& fh : flow_hist_) h.merge(fh);
     m.counter("packets.injected") += injected_total();
     m.counter("packets.delivered") += delivered_total();
     m.counter("packets.delivered_measured") += result.delivered;
@@ -1754,17 +1339,10 @@ SimResult NetworkSim::run() {
 
 obs::ProfReport NetworkSim::make_prof_report(std::uint64_t wall_ns) const {
   obs::ProfReport report;
-  const auto contexts =
-      sharded_ ? static_cast<std::size_t>(engine_.shards) : std::size_t{1};
   for (std::size_t s = 0; s < profilers_.size(); ++s) {
     obs::ProfReport::Track track;
-    if (!sharded_) {
-      track.label = "main";
-    } else if (s < contexts) {
-      track.label = "shard" + std::to_string(s);
-    } else {
-      track.label = "coord";
-    }
+    track.label = s + 1 < profilers_.size() ? "shard" + std::to_string(s)
+                                            : std::string("coord");
     track.sections = profilers_[s]->sections();
     report.scopes += profilers_[s]->scopes();
     report.counted += profilers_[s]->counted();
@@ -1775,16 +1353,9 @@ obs::ProfReport NetworkSim::make_prof_report(std::uint64_t wall_ns) const {
   report.windows = prof_windows_;
   report.window_max_busy_ns = prof_window_max_busy_ns_;
   report.window_mean_busy_ns = prof_window_mean_busy_ns_;
-  report.shards = sharded_ ? engine_.shards : 0;
+  report.shards = engine_.shards;
   report.wall_ns = wall_ns;
   return report;
-}
-
-SimResult run_simulation(const graph::Topology& topo,
-                         const std::vector<topo::FlowSpec>& flows,
-                         const SimConfig& config) {
-  NetworkSim sim(topo, flows, config);
-  return sim.run();
 }
 
 SimResult run_simulation(const graph::Topology& topo,

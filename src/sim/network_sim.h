@@ -127,11 +127,6 @@ struct SimConfig {
   /// Violations are counted in SimResult::lfi_violations (must be 0).
   Duration lfi_check_interval = 0;
 
-  /// If > 0, record a delay/throughput time series with this window size
-  /// (SimResult::timeseries) — how the network behaves *over time*, e.g.
-  /// around a failure or a burst, rather than just on average.
-  Duration timeseries_interval = 0;
-
   /// Chaos schedule: node crashes/recoveries, flapping links, bursty loss
   /// and control-plane corruption (fault/fault_plan.h). Crashes and flaps
   /// are always silent — use_hello is required to detect and heal them
@@ -143,20 +138,23 @@ struct SimConfig {
   // bit-identical to the seed (docs/OBSERVABILITY.md). ---------------------
 
   /// If > 0, run the TimeSeriesSampler with this period: per-link
-  /// utilization/queue/bytes, per-flow delay, per-destination successor
-  /// statistics and network control rates land in SimResult::telemetry.
-  /// Sample ticks are read-only walks over existing counters — they draw no
-  /// randomness, so packet flows are unchanged.
+  /// utilization/queue/bytes, per-flow delivery/delay/drops, per-destination
+  /// successor statistics and network control rates land in
+  /// SimResult::telemetry — how the network behaves *over time*, e.g. around
+  /// a failure or a burst, rather than just on average. Sample ticks are
+  /// read-only walks over existing counters — they draw no randomness, so
+  /// packet flows are unchanged.
   Duration sample_interval = 0;
 
   /// Retain EVERY flight-recorder event for full JSONL export
-  /// (Telemetry::trace). Implies the flight recorder.
+  /// (Telemetry::trace). Implies the flight recorder; needs shards = 1.
   bool trace = false;
 
   /// If > 0, run the protocol flight recorder with bounded per-node rings of
   /// this capacity. When an InvariantMonitor sweep opens a loop / blackhole /
   /// ledger incident the rings are dumped into Telemetry::flight_dumps
-  /// (requires monitor_interval > 0 to have a trigger).
+  /// (requires monitor_interval > 0 to have a trigger). The recorder is
+  /// single-threaded, so it needs shards = 1 (validate_engine).
   std::size_t flightrec_capacity = 0;
 
   /// Wall-clock profiler + convergence span tracer (obs/prof.h,
@@ -193,10 +191,10 @@ struct SimConfig {
   // --- crash-safe checkpoint/resume (docs/CHECKPOINT.md) ------------------
 
   /// If > 0, write a checkpoint to `checkpoint_path` every this many sim
-  /// seconds. Checkpoints are taken OUTSIDE the event queue — at slice
-  /// boundaries of the legacy engine, at window barriers of the sharded
-  /// engine — so they consume no event sequence numbers and a
-  /// checkpoint-enabled run stays byte-identical to a plain one.
+  /// seconds. Checkpoints are taken OUTSIDE the event queues — as
+  /// coordinator pauses at window barriers — so they consume no event
+  /// sequence numbers and a checkpoint-enabled run stays byte-identical to
+  /// a plain one.
   Duration checkpoint_interval = 0;
   std::string checkpoint_path;
   /// If non-empty, restore this checkpoint at the start of run() and
@@ -232,15 +230,16 @@ struct SimCancelled : std::runtime_error {
   SimCancelled() : std::runtime_error("simulation cancelled by watchdog") {}
 };
 
-/// Parallel-engine knobs, grouped so callers select an engine in one place
+/// Event-engine knobs, grouped so callers set them in one place
 /// (runner::ExperimentSpec carries one; `mdrsim --shards` fills it in).
 struct EngineSpec {
-  /// 0 = the classic single-threaded engine — bit-identical to the seed.
-  /// >= 1 = the sharded conservative engine (sim/parallel_engine.h): output
-  /// is byte-identical for ANY shard count at a fixed seed, but is a
-  /// different (equally valid) event interleaving than shards == 0, so the
-  /// two engines are not comparable packet-for-packet.
-  int shards = 0;
+  /// Number of shards (>= 1). Each shard advances its own nodes' events in
+  /// lockstep lookahead windows (sim/parallel_engine.h); global activities
+  /// (faults, toggles, monitor / LFI / sampler / stability observations,
+  /// checkpoints) run as coordinator pauses at window barriers. Output is
+  /// byte-identical for ANY shard count at a fixed seed. One shard runs on
+  /// the calling thread and only stops at pauses.
+  int shards = 1;
   /// Capacity of each cross-shard SPSC handoff ring (rounded up to a power
   /// of two). Overflow spills to an unbounded producer-local buffer — a
   /// tuning knob, never a correctness one.
@@ -252,13 +251,15 @@ struct EngineSpec {
   double lookahead_override = 0;
 };
 
-/// One time-series window (delivered packets within [t - window, t)).
-struct TimePoint {
-  Time t = 0;
-  std::uint64_t delivered = 0;
-  double mean_delay_s = 0;  ///< 0 when nothing was delivered in the window
-  std::uint64_t dropped = 0;
-};
+/// Throws std::invalid_argument naming the problem when `engine` cannot
+/// run `config` on `topo`: fewer than one shard; trace / flight recorder
+/// with more than one shard (the recorder is single-threaded); or a link
+/// with zero propagation delay between two shards (the window lookahead
+/// would be 0 and the engine could never advance). NetworkSim's
+/// constructor calls it; scenario parsing and mdrsim call it to report the
+/// problem before a run starts.
+void validate_engine(const graph::Topology& topo, const SimConfig& config,
+                     const EngineSpec& engine);
 
 struct FlowResult {
   int flow_id = -1;
@@ -315,7 +316,6 @@ struct SimResult {
   std::size_t events_processed = 0;
   std::uint64_t lfi_checks = 0;      ///< snapshots taken (see lfi_check_interval)
   std::uint64_t lfi_violations = 0;  ///< invariant breaches observed (expect 0)
-  std::vector<TimePoint> timeseries;  ///< see SimConfig::timeseries_interval
   /// InvariantMonitor findings; present iff monitor_interval > 0.
   std::optional<MonitorReport> monitor;
   /// Stability verdict + margin; present iff SimConfig::stability.interval
@@ -324,8 +324,8 @@ struct SimResult {
   /// Time series, trace, flight dumps and metrics; present iff any of
   /// sample_interval / trace / flightrec_capacity enabled telemetry.
   std::optional<obs::Telemetry> telemetry;
-  /// Events processed per shard, in shard order (sharded engine only; the
-  /// per-shard balance the coordinator knows but classic output never had).
+  /// Events processed per shard, in shard order (the per-shard balance;
+  /// the only output that depends on the shard count).
   std::vector<std::uint64_t> shard_events;
   /// Wall-clock attribution + convergence spans; present iff SimConfig::prof.
   std::optional<obs::ProfReport> prof;
@@ -334,10 +334,8 @@ struct SimResult {
 
 class NetworkSim {
  public:
-  /// `engine` selects the event engine (EngineSpec); the default runs the
-  /// classic single-threaded queue. Sharded mode (engine.shards >= 1)
-  /// rejects trace / flight-recorder telemetry (the recorder is
-  /// single-threaded by design) — callers validate, build() asserts.
+  /// `engine` sets the shard count and window knobs (EngineSpec). Throws
+  /// std::invalid_argument when validate_engine() rejects the combination.
   NetworkSim(const graph::Topology& topo,
              const std::vector<topo::FlowSpec>& flows, SimConfig config,
              EngineSpec engine = {});
@@ -349,8 +347,8 @@ class NetworkSim {
   // --- checkpointing (tests drive these directly; run() wires them up) ----
 
   /// Serializes the complete simulation state to `path` (atomic tmp+rename).
-  /// Must be called outside the event loop: between legacy run_until slices
-  /// or from a coordinator pause at a sharded window barrier.
+  /// Must be called outside the event loop: from a coordinator pause at a
+  /// window barrier (or before run()).
   void save_checkpoint(const std::string& path);
 
   /// Overwrites this sim's mutable state from a checkpoint written by an
@@ -361,8 +359,6 @@ class NetworkSim {
 
  private:
   void build();
-  void schedule_link_toggles();
-  void schedule_faults();
   void toggle_duplex(graph::NodeId a, graph::NodeId b, bool up, bool silent);
   /// Recomputes one directed link's effective state from every hold on it
   /// (admin toggles, flap schedule, endpoint liveness).
@@ -372,22 +368,12 @@ class NetworkSim {
   void duty_duplex(graph::NodeId a, graph::NodeId b, bool down);
   void crash_node(graph::NodeId node);
   void recover_node(graph::NodeId node);
-  void lfi_check();
-  /// The LFI sweep body, parameterized on the sweep time (the legacy timer
-  /// passes events_.now(); the sharded engine passes the pause time).
+  /// One global Loop-Free Invariant sweep at pause time `now`.
   void lfi_sweep(Time now);
-  void monitor_check();
-  void stability_tick();
-  /// One StabilityMonitor observation at `now` (the legacy timer passes
-  /// events_.now(); the sharded engine passes the pause time). Reads queued
+  /// One StabilityMonitor observation at pause time `now`. Reads queued
   /// bits in LinkId order and per-flow delivery sums in flow order, so the
-  /// float reductions are identical for every engine and shard count.
+  /// float reductions are identical for every shard count.
   void stability_record(Time now);
-  void timeseries_tick();
-  /// Closes one time-series window at `now` (reads the engine-appropriate
-  /// window accumulators, then resets them).
-  void timeseries_point(Time now);
-  void sample_tick();
   /// One full set of sampler readings at `now` (also called once after the
   /// run drains, so the tail window is captured and the per-flow sums
   /// reconcile exactly with FlowResult).
@@ -398,16 +384,13 @@ class NetworkSim {
   /// Entity-index translation + callback-rebuild table for EventQueue
   /// save/load (the tag namespace lives in network_sim.cc).
   EventQueueCodec make_codec();
-  /// Legacy-engine slice boundary: cancel / interrupt checks and the
-  /// periodic checkpoint write. Throws SimCancelled / SimInterrupted.
-  void at_safe_boundary();
   /// Partial telemetry for SimInterrupted (tail sample + move out).
   std::optional<obs::Telemetry> take_partial_telemetry();
 
-  // --- sharded conservative engine (see sim/parallel_engine.h) ------------
-  /// Replaces every wheel-scheduled global activity (toggles, faults,
-  /// monitor / LFI / time-series / sampler ticks) with a sorted pause plan
-  /// the coordinator executes at window barriers.
+  // --- the engine (see sim/parallel_engine.h) ------------------------------
+  /// Turns every global activity — toggles, faults, monitor / LFI /
+  /// sampler / stability observations, checkpoints — into a sorted pause
+  /// plan the coordinator executes at window barriers.
   void build_pause_plan();
   /// Lockstep window loop: workers advance shard queues, the barrier
   /// completion hook drains handoff rings, executes due pauses and sizes
@@ -418,28 +401,20 @@ class NetworkSim {
   void drain_channels();
   std::uint64_t injected_total() const;
   std::uint64_t delivered_total() const;
-  /// The simulation clock independent of engine: the event queue's in the
-  /// classic engine, the coordinator's between-windows clock when sharded.
-  Time now_sim() const { return sharded_ ? global_now_ : events_.now(); }
 
   const graph::Topology* topo_;
   std::vector<topo::FlowSpec> flow_specs_;
   SimConfig config_;
 
-  EventQueue events_;
   Rng master_rng_;
   std::vector<std::unique_ptr<SimNode>> nodes_;
   std::vector<std::unique_ptr<SimLink>> links_;  // by LinkId
   std::vector<std::unique_ptr<TrafficSource>> sources_;  // by flow id
 
   Time measure_start_ = 0;
-  std::vector<Samples> flow_delays_;  // by flow id
+  std::vector<Samples> flow_delays_;  // by flow id; dst shard writes
   std::uint64_t lfi_checks_ = 0;
   std::uint64_t lfi_violations_ = 0;
-  std::vector<TimePoint> timeseries_;
-  double window_delay_sum_ = 0;
-  std::uint64_t window_delivered_ = 0;
-  std::uint64_t window_dropped_ = 0;
 
   /// A directed link is up iff no hold applies AND both endpoints are alive.
   struct LinkHold {
@@ -453,38 +428,39 @@ class NetworkSim {
   /// Stability verdict machinery (null unless config.stability.interval
   /// > 0). The per-flow cumulative delivery accounts are written by exactly
   /// one shard (the flow's destination) and reduced in flow order at each
-  /// observation, so verdicts are engine- and shard-count-invariant.
+  /// observation, so verdicts are shard-count-invariant.
   std::unique_ptr<StabilityMonitor> stability_;
   bool stability_enabled_ = false;
   std::vector<std::uint64_t> stab_flow_delivered_;  // by flow; dst shard
   std::vector<double> stab_flow_delay_sum_;         // by flow; dst shard
-  std::uint64_t injected_ = 0;         ///< data packets entered at sources
-  std::uint64_t total_delivered_ = 0;  ///< all deliveries, measured or not
 
   // --- telemetry (null/empty unless enabled; see SimConfig) ---------------
   /// Per-flow cumulative delivery accounting for the sampler: every delivery
   /// vs. only measurement-window deliveries (the pair that reconciles with
-  /// FlowResult::mean_delay_s).
+  /// FlowResult::mean_delay_s). Written by the flow's destination shard.
   struct FlowAccum {
     std::uint64_t delivered = 0;
     double delay_sum_s = 0;
     std::uint64_t measured_delivered = 0;
     double measured_delay_sum_s = 0;
-    std::uint64_t dropped = 0;
   };
   bool telemetry_enabled_ = false;
   obs::Telemetry telemetry_;
+  /// Present iff trace or flightrec asks for it (shards = 1 only).
   std::unique_ptr<obs::FlightRecorder> recorder_;
   std::unique_ptr<obs::TimeSeriesSampler> sampler_;
   std::vector<FlowAccum> flow_accum_;  // by flow id
-  obs::LogHistogram* delay_hist_ = nullptr;  ///< "flow_delay_s" in metrics
+  /// Node-level drops per flow, one row per shard (the dropping node's).
+  std::vector<std::vector<std::uint64_t>> sflow_dropped_;  // [shard][flow]
+  /// Measured-delay histograms, one per flow (single writer each), merged
+  /// into metrics["flow_delay_s"] in flow order when the run ends.
+  std::vector<obs::LogHistogram> flow_hist_;
 
   // --- wall-clock profiler + span tracer (empty unless config.prof) -------
-  /// One Profiler per event-executing context: index i < shard count is
-  /// shard i's (the classic engine has exactly one, labelled "main"); the
-  /// last one is the coordinator's (handoff drain, pauses, checkpoints) —
-  /// separate so its counts stay deterministic even though the barrier
-  /// completion hook runs on whichever worker arrives last.
+  /// One Profiler per shard ("shard<i>") plus a last one for the
+  /// coordinator ("coord": handoff drain, pauses, checkpoints) — separate
+  /// so its counts stay deterministic even though the barrier completion
+  /// hook runs on whichever worker arrives last.
   std::vector<std::unique_ptr<obs::Profiler>> profilers_;
   obs::Profiler* coord_prof_ = nullptr;  ///< profilers_.back() when enabled
   std::vector<std::unique_ptr<obs::SpanRecorder>> span_recorders_;
@@ -498,14 +474,12 @@ class NetworkSim {
   /// Assembles the per-context profilers + engine stats into a ProfReport.
   obs::ProfReport make_prof_report(std::uint64_t wall_ns) const;
 
-  // --- sharded conservative engine state (empty when engine_.shards == 0).
-  // Accumulators are split so every field has exactly one writing shard:
-  // per-shard integers merge exactly in any order, and per-flow float sums
-  // are written only by the flow's destination shard, then combined in flow
-  // order — the float reduction order is therefore identical for every
-  // shard count.
+  // --- engine state. Accumulators are split so every field has exactly one
+  // writing shard: per-shard integers merge exactly in any order, and
+  // per-flow float sums are written only by the flow's destination shard,
+  // then combined in flow order — the float reduction order is therefore
+  // identical for every shard count.
   EngineSpec engine_;
-  bool sharded_ = false;
   std::vector<int> shard_of_;  // by NodeId
   double lookahead_ = 0;       ///< window slack (min cross-shard prop delay)
   /// Coordinator clock: equals every shard clock whenever the workers are
@@ -515,21 +489,13 @@ class NetworkSim {
     EventQueue events;
     std::uint64_t injected = 0;   ///< sources on this shard
     std::uint64_t delivered = 0;  ///< deliveries at this shard's nodes
-    std::uint64_t window_dropped = 0;
-    /// Deliveries without a flow id this window (none in practice — every
-    /// source stamps a flow — but the ledger stays engine-invariant).
-    std::uint64_t noflow_window_delivered = 0;
   };
   std::vector<std::unique_ptr<Shard>> shards_;
   /// Directed handoff channels, indexed [from * shards + to]; diagonal null.
   std::vector<std::unique_ptr<HandoffChannel>> channels_;
-  std::vector<double> wf_window_delay_sum_;        // by flow; dst shard writes
-  std::vector<std::uint64_t> wf_window_delivered_;  // by flow; dst shard writes
-  std::vector<std::vector<std::uint64_t>> sflow_dropped_;  // [shard][flow]
-  std::vector<obs::LogHistogram> flow_hist_;  // by flow; merged at the end
   /// One globally-ordered coordinator action: rank breaks ties at equal
   /// times (toggles < flaps < dutycycles < crashes < recoveries < monitor <
-  /// lfi < timeseries < sampler < stability), insertion order breaks rank
+  /// lfi < sampler < stability < checkpoint), insertion order breaks rank
   /// ties.
   struct Pause {
     Time at = 0;
@@ -538,18 +504,15 @@ class NetworkSim {
   };
   std::vector<Pause> pauses_;
 
-  // --- checkpoint/resume cursors ------------------------------------------
-  /// Legacy engine: completed run_until slices (slice k ends at
-  /// k * checkpoint step). Sharded engine: the coordinator Control state at
-  /// the instant the checkpoint was taken, replayed into the window loop on
-  /// resume.
-  std::uint64_t ckpt_slice_ = 0;
+  // --- checkpoint/resume cursor -------------------------------------------
+  /// The coordinator Control state at the instant the checkpoint was taken,
+  /// replayed into the window loop on resume.
   std::size_t ckpt_pause_idx_ = 0;
   Time ckpt_clock_ = 0;
   bool ckpt_tie_done_ = false;
   bool resumed_ = false;
-  /// Why the sharded window loop stopped (set by the coordinator inside the
-  /// barrier completion hook; thrown as an exception after the join).
+  /// Why the window loop stopped (set by the coordinator inside the barrier
+  /// completion hook; thrown as an exception after the join).
   enum class StopReason { kCompleted, kInterrupted, kCancelled };
   StopReason stop_reason_ = StopReason::kCompleted;
 };
@@ -557,11 +520,7 @@ class NetworkSim {
 /// Convenience wrapper: build, run, return.
 SimResult run_simulation(const graph::Topology& topo,
                          const std::vector<topo::FlowSpec>& flows,
-                         const SimConfig& config);
-
-/// As above, on an explicit engine (EngineSpec; shards >= 1 runs sharded).
-SimResult run_simulation(const graph::Topology& topo,
-                         const std::vector<topo::FlowSpec>& flows,
-                         const SimConfig& config, const EngineSpec& engine);
+                         const SimConfig& config,
+                         const EngineSpec& engine = {});
 
 }  // namespace mdr::sim

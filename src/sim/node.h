@@ -164,7 +164,7 @@ class SimNode final : public proto::LsuSink {
   }
 
   /// Resolves a node-timer class to the tick method it dispatches; null for
-  /// the callback-timer classes. EventQueue::schedule_timer(TimerClass, ...)
+  /// kGeneric (callback timers). EventQueue::schedule_timer(TimerClass, ...)
   /// is the only intended caller — the mapping keeps the tick methods
   /// private while giving the queue a typed scheduling surface.
   static void (SimNode::*timer_method(TimerClass cls))();

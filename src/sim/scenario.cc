@@ -4,6 +4,7 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "sim/experiment.h"
@@ -641,9 +642,9 @@ bool apply_directive(ParseState& state, const std::vector<std::string>& tokens,
     return true;
   }
   if (cmd == "prof") {
-    // Wall-clock profiler + convergence span tracer. Works on both engines
-    // (per-shard profilers merge post-run), so it is deliberately NOT part
-    // of the trace/flightrec single-threaded validation below. deep=1 times
+    // Wall-clock profiler + convergence span tracer. Works at any shard
+    // count (per-shard profilers merge post-run), so it is deliberately NOT
+    // part of the trace/flightrec one-shard validation below. deep=1 times
     // the per-event hot sections too (higher overhead, see obs/prof.h).
     std::map<std::string, double> opts;
     std::string bad;
@@ -674,7 +675,6 @@ bool apply_directive(ParseState& state, const std::vector<std::string>& tokens,
       {"duration", &SimConfig::duration},
       {"warmup", &SimConfig::warmup},
       {"traffic_start", &SimConfig::traffic_start},
-      {"timeseries", &SimConfig::timeseries_interval},
       {"sample", &SimConfig::sample_interval},
       {"lfi_check", &SimConfig::lfi_check_interval},
       {"ah_damping", &SimConfig::ah_damping},
@@ -745,11 +745,11 @@ std::optional<Scenario> parse_scenario(std::istream& in, std::string* error,
         "protocol: add a `hello` directive");
     return std::nullopt;
   }
-  if (state.scenario.spec.engine.shards >= 1 &&
-      (config.trace || config.flightrec_capacity > 0)) {
-    report(
-        "trace/flightrec need the single-threaded engine (the flight "
-        "recorder is not shard-safe): drop them or the `engine` directive");
+  try {
+    validate_engine(state.scenario.spec.topo, config,
+                    state.scenario.spec.engine);
+  } catch (const std::invalid_argument& e) {
+    report(e.what());
     return std::nullopt;
   }
   // A link carries at most one Gilbert-Elliott chain per direction, so a

@@ -24,7 +24,6 @@
 //   pareto [alpha=<a>] [on=<s>] [off=<s>]  # self-similar on/off sources
 //   loss <p>                               # per-packet link loss in [0,1)
 //   hello [interval=<s>] [dead=<s>]
-//   timeseries <s>
 //   lfi_check <s>
 //   ah_damping <x>
 //   wrr
@@ -57,14 +56,15 @@
 //   trace                                  # retain the full protocol trace
 //   flightrec [capacity=<n>]               # bounded per-node event rings
 //   prof [deep=0|1]                        # wall-clock profiler +
-//                                          # convergence spans (both engines);
+//                                          # convergence spans (any shards);
 //                                          # deep=1 times per-event sections
 //                                          # (higher overhead, obs/prof.h)
-//   engine shards=<n> [ring=<cap>] [lookahead=<s>]  # sharded parallel engine
+//   engine shards=<n> [ring=<cap>] [lookahead=<s>]  # shard count (default 1)
 //
-// `engine shards=N` runs the sharded conservative engine (same-seed output
-// is byte-identical for any N >= 1); it is incompatible with trace/flightrec
-// (enforced at parse time).
+// `engine shards=N` spreads the network over N shards (same-seed output is
+// byte-identical for any N >= 1). trace/flightrec need shards=1, and no
+// zero-delay link may join two shards (both enforced at parse time,
+// sim::validate_engine).
 //
 // crash/flap/dutycycle faults are silent by construction: a scenario using
 // them must also enable `hello` (enforced at parse time); `damping` filters

@@ -3,8 +3,8 @@
 // The load-bearing property is byte-identical recovery: a run that
 // checkpoints is byte-identical to one that doesn't, and a run resumed
 // from a snapshot finishes byte-identical to one that was never
-// interrupted — across the legacy and sharded engines, under chaos
-// faults, adversarial traffic and telemetry. The format tests pin the
+// interrupted — at 1 and 4 shards, under chaos faults, adversarial
+// traffic, telemetry and the flight recorder. The format tests pin the
 // container down: corruption, truncation and version skew are rejected,
 // never misread. See docs/CHECKPOINT.md.
 #include <gtest/gtest.h>
@@ -250,9 +250,9 @@ TEST(CkptEventQueue, UntaggedPendingCallbackRefusesToSave) {
 
 // ---------------------------------------------- end-to-end byte identity
 
-// Serializes EVERYTHING a run reports — counters, flows, time series,
-// monitor/stability reports, full telemetry — at max_digits10, so a
-// single bit of divergence anywhere fails the property.
+// Serializes EVERYTHING a run reports — counters, flows, monitor/stability
+// reports, full telemetry (samples, metrics, trace and flight dumps) — at
+// max_digits10, so a single bit of divergence anywhere fails the property.
 std::string render(const sim::SimResult& r, const sim::ExperimentSpec& spec) {
   std::ostringstream out;
   out << std::setprecision(std::numeric_limits<double>::max_digits10);
@@ -273,10 +273,6 @@ std::string render(const sim::SimResult& r, const sim::ExperimentSpec& spec) {
     out << "link " << l.from << ">" << l.to << " " << l.data_bits << " "
         << l.control_bits << " " << l.utilization << "\n";
   }
-  for (const auto& p : r.timeseries) {
-    out << "ts " << p.t << " " << p.delivered << " " << p.mean_delay_s << " "
-        << p.dropped << "\n";
-  }
   out << "lfi " << r.lfi_checks << "/" << r.lfi_violations << "\n";
   if (r.monitor.has_value()) {
     out << "monitor " << sim::monitor_report_json(*r.monitor) << "\n";
@@ -288,6 +284,7 @@ std::string render(const sim::SimResult& r, const sim::ExperimentSpec& spec) {
     const auto names = sim::telemetry_names(spec.topo, spec.flows);
     obs::write_samples_jsonl(out, *r.telemetry, names, /*run=*/0);
     obs::write_metrics_jsonl(out, r.telemetry->metrics, "0");
+    obs::write_trace_jsonl(out, *r.telemetry, names, /*run=*/0);
   }
   return out.str();
 }
@@ -299,8 +296,8 @@ std::string render(const sim::SimResult& r, const sim::ExperimentSpec& spec) {
 //   3. resumed — restore from the LAST snapshot written by (2) and run
 //      to the end (kill-at-the-last-boundary + resume, in process).
 // All three must render byte-identically. Resume keeps the checkpoint
-// settings (as a real re-invocation would): the sharded engine's resume
-// cursor indexes the coordinator pause plan, which must match save time.
+// settings (as a real re-invocation would): the engine's resume cursor
+// indexes the coordinator pause plan, which must match save time.
 void expect_round_trip(sim::ExperimentSpec spec, const std::string& mode,
                        double interval, const std::string& tag) {
   const std::string path = ::testing::TempDir() + "ckpt_" + tag + ".mdrk";
@@ -348,6 +345,18 @@ TEST(CkptRoundTrip, ChaosScenarioWithFaultsInFlight) {
   expect_round_trip(std::move(spec), mode, /*interval=*/7.0, "chaos");
 }
 
+TEST(CkptRoundTrip, ChaosScenarioWithFlightRecorder) {
+  // The recorder's rings, full trace and incident dumps ride in the
+  // snapshot: the crashes open monitor incidents that dump the rings both
+  // before and after the 7 s checkpoint cadence.
+  std::string mode;
+  auto spec = load_spec("chaos.scn", &mode);
+  spec.config.duration = 26;
+  spec.config.flightrec_capacity = 64;
+  spec.config.trace = true;
+  expect_round_trip(std::move(spec), mode, /*interval=*/7.0, "chaos_rec");
+}
+
 TEST(CkptRoundTrip, ChaosScenarioSharded) {
   std::string mode;
   auto spec = load_spec("chaos.scn", &mode);
@@ -370,9 +379,9 @@ TEST(CkptRoundTrip, AdversarialScenarioWithStabilityMonitor) {
   expect_round_trip(std::move(spec), mode, /*interval=*/5.0, "adversarial");
 }
 
-TEST(CkptRoundTrip, GeneratedWaxmanLegacyAndSharded) {
+TEST(CkptRoundTrip, GeneratedWaxmanOneAndFourShards) {
   // A small generated Waxman (the scale scenario's shape, test sized):
-  // random topology + random flows, both engines.
+  // random topology + random flows, at 1 and 4 shards.
   Rng rng(11);
   sim::ExperimentSpec spec;
   spec.topo = topo::make_waxman(30, 0.4, 0.3, rng, /*capacity_bps=*/10e6,
@@ -382,7 +391,7 @@ TEST(CkptRoundTrip, GeneratedWaxmanLegacyAndSharded) {
   spec.config.traffic_start = 2;
   spec.config.warmup = 3;
   spec.config.duration = 12;
-  expect_round_trip(spec, "mp", /*interval=*/4.0, "waxman");
+  expect_round_trip(spec, "mp", /*interval=*/4.0, "waxman_sh1");
   spec.engine.shards = 4;
   expect_round_trip(std::move(spec), "mp", /*interval=*/4.0, "waxman_sh4");
 }
@@ -391,41 +400,45 @@ TEST(CkptRoundTrip, GeneratedWaxmanLegacyAndSharded) {
 
 TEST(CkptInterrupt, StopFlagWritesASnapshotAndResumeMatchesBaseline) {
   // The mdrsim SIGINT path, in process: the stop flag is already set when
-  // the run starts, so the very first safe boundary writes a final
+  // the run starts, so the very first window barrier writes a final
   // checkpoint and raises SimInterrupted. Resuming from that snapshot
   // must finish byte-identical to a run that was never interrupted.
-  sim::ExperimentSpec spec{topo::make_net1(), topo::net1_flows(0.5), {}, {}};
-  spec.config.seed = 31;
-  spec.config.traffic_start = 2;
-  spec.config.warmup = 3;
-  spec.config.duration = 12;
-  spec.config.sample_interval = 2.0;
-  const std::string baseline = render(sim::run_experiment(spec, "mp"), spec);
+  for (const int shards : {1, 4}) {
+    sim::ExperimentSpec spec{topo::make_net1(), topo::net1_flows(0.5), {}, {}};
+    spec.engine.shards = shards;
+    spec.config.seed = 31;
+    spec.config.traffic_start = 2;
+    spec.config.warmup = 3;
+    spec.config.duration = 12;
+    spec.config.sample_interval = 2.0;
+    const std::string baseline =
+        render(sim::run_experiment(spec, "mp"), spec);
 
-  const std::string path = ::testing::TempDir() + "ckpt_interrupt.mdrk";
-  std::atomic<bool> stop{true};
-  auto interrupted_spec = spec;
-  interrupted_spec.config.checkpoint_interval = 4.0;
-  interrupted_spec.config.checkpoint_path = path;
-  interrupted_spec.config.interrupt = &stop;
-  bool threw = false;
-  try {
-    sim::run_experiment(interrupted_spec, "mp");
-  } catch (const sim::SimInterrupted& e) {
-    threw = true;
-    // Partial telemetry rides on the exception for the caller to flush.
-    EXPECT_TRUE(e.telemetry.has_value());
+    const std::string path = ::testing::TempDir() + "ckpt_interrupt.mdrk";
+    std::atomic<bool> stop{true};
+    auto interrupted_spec = spec;
+    interrupted_spec.config.checkpoint_interval = 4.0;
+    interrupted_spec.config.checkpoint_path = path;
+    interrupted_spec.config.interrupt = &stop;
+    bool threw = false;
+    try {
+      sim::run_experiment(interrupted_spec, "mp");
+    } catch (const sim::SimInterrupted& e) {
+      threw = true;
+      // Partial telemetry rides on the exception for the caller to flush.
+      EXPECT_TRUE(e.telemetry.has_value());
+    }
+    ASSERT_TRUE(threw) << "interrupt flag was ignored at shards=" << shards;
+
+    auto resumed_spec = spec;
+    resumed_spec.config.checkpoint_interval = 4.0;
+    resumed_spec.config.checkpoint_path = path;
+    resumed_spec.config.resume_from = path;
+    const std::string resumed =
+        render(sim::run_experiment(resumed_spec, "mp"), spec);
+    EXPECT_EQ(resumed, baseline) << "shards=" << shards;
+    std::remove(path.c_str());
   }
-  ASSERT_TRUE(threw) << "interrupt flag was ignored";
-
-  auto resumed_spec = spec;
-  resumed_spec.config.checkpoint_interval = 4.0;
-  resumed_spec.config.checkpoint_path = path;
-  resumed_spec.config.resume_from = path;
-  const std::string resumed =
-      render(sim::run_experiment(resumed_spec, "mp"), spec);
-  EXPECT_EQ(resumed, baseline);
-  std::remove(path.c_str());
 }
 
 TEST(CkptInterrupt, CancelFlagRaisesSimCancelled) {
@@ -452,6 +465,11 @@ TEST(CkptRestore, RejectsSeedAndShardMismatches) {
   wrong_seed.config.seed = 6;
   wrong_seed.config.resume_from = path;
   EXPECT_THROW(sim::run_experiment(wrong_seed, "mp"), ckpt::Error);
+
+  auto wrong_shards = spec;
+  wrong_shards.engine.shards = 2;
+  wrong_shards.config.resume_from = path;
+  EXPECT_THROW(sim::run_experiment(wrong_shards, "mp"), ckpt::Error);
 
   auto wrong_topo = spec;
   wrong_topo.topo = topo::make_cairn();

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -209,8 +210,10 @@ TEST(SimTelemetry, EnablingTelemetryDoesNotPerturbPacketFlows) {
   const auto instrumented = sim::run_simulation(topo, flows, on);
   ASSERT_TRUE(instrumented.telemetry.has_value());
 
-  // Same seed, telemetry on: every packet-level number is bit-identical
-  // (only events_processed differs — the sampler's own ticks).
+  // Same seed, telemetry on: every packet-level number is bit-identical,
+  // the event count included — sampler ticks are coordinator pauses, not
+  // queue events.
+  EXPECT_EQ(instrumented.events_processed, base.events_processed);
   EXPECT_EQ(instrumented.delivered, base.delivered);
   EXPECT_EQ(instrumented.avg_delay_s, base.avg_delay_s);
   EXPECT_EQ(instrumented.control_messages, base.control_messages);
@@ -232,6 +235,42 @@ TEST(SimTelemetry, EnablingTelemetryDoesNotPerturbPacketFlows) {
   EXPECT_FALSE(instrumented.telemetry->trace.empty());
   EXPECT_GT(instrumented.telemetry->metrics.counters().at("events.lsu_originate"),
             0u);
+}
+
+TEST(SimTelemetry, FlightRecorderLeavesTheOneShardReportByteIdentical) {
+  // A crash under the monitor opens incidents, so the recorder both traces
+  // and dumps. Its probes read shard 0's clock; turning it on must not move
+  // a byte of the --json report or the sample stream — only the trace and
+  // dump payloads (and their events.* counters) are new.
+  sim::ExperimentSpec spec{topo::make_cairn(), topo::cairn_flows(0.5), {}, {}};
+  spec.config.use_hello = true;
+  spec.config.traffic_start = 6.0;
+  spec.config.warmup = 4.0;
+  spec.config.duration = 20.0;
+  spec.config.monitor_interval = 0.5;
+  spec.config.sample_interval = 2.0;
+  spec.config.faults.crashes.push_back({15.0, "tioc"});
+  spec.config.faults.recoveries.push_back({19.0, "tioc"});
+  const auto names = sim::telemetry_names(spec.topo, spec.flows);
+  const auto render = [&](const sim::ExperimentSpec& s, bool* recorded) {
+    runner::ExperimentRunner r(runner::Options{/*jobs=*/1, /*base_seed=*/3});
+    const auto batch = r.run_replicated(s, "mp", /*replications=*/1);
+    std::ostringstream out;
+    runner::write_results_json(out, batch, "recorder-property");
+    const auto& telemetry = *batch.runs.front().telemetry;
+    obs::write_samples_jsonl(out, telemetry, names, /*run=*/0);
+    *recorded = !telemetry.trace.empty() && !telemetry.flight_dumps.empty();
+    static const std::regex host{R"re(, "host": \{[^}]*\})re"};
+    return std::regex_replace(out.str(), host, "");
+  };
+  bool recorded = true;
+  const std::string off = render(spec, &recorded);
+  EXPECT_FALSE(recorded);
+  spec.config.trace = true;
+  spec.config.flightrec_capacity = 64;
+  const std::string on = render(spec, &recorded);
+  EXPECT_TRUE(recorded) << "the recorder traced and dumped nothing";
+  EXPECT_EQ(on, off);
 }
 
 TEST(SimTelemetry, SamplerReconcilesExactlyWithFlowResults) {
@@ -535,14 +574,14 @@ TEST(Profiler, HotSectionsOutsideTimedMaskAreCountedNotTimed) {
 
 TEST(ProfReport, MergeMatchesTracksByLabelAndJsonSegregatesHostTime) {
   obs::ProfReport a;
-  a.tracks.push_back({"main", {}});
+  a.tracks.push_back({"shard0", {}});
   a.tracks[0].sections[0] = {10, 1000, 800};
   a.scopes = 10;
   a.counted = 5;
   a.wall_ns = 5000;
 
   obs::ProfReport b;
-  b.tracks.push_back({"main", {}});
+  b.tracks.push_back({"shard0", {}});
   b.tracks[0].sections[0] = {7, 500, 400};
   b.tracks.push_back({"coord", {}});
   b.scopes = 7;

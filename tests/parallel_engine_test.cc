@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <regex>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "sim/event_queue.h"
 #include "sim/network_sim.h"
 #include "sim/parallel_engine.h"
+#include "sim/scenario.h"
 #include "sim/spsc_ring.h"
 #include "topo/builders.h"
 #include "topo/flows.h"
@@ -207,15 +209,101 @@ TEST(ShardAssignment, LookaheadIsTheMinCrossShardPropDelay) {
 TEST(TimerClasses, TypedScheduleIsCountedPerClassAndShimsMapToGeneric) {
   sim::EventQueue events;
   int fired = 0;
-  events.schedule_timer(sim::TimerClass::kSampler, 1.0, [&] { ++fired; });
-  events.schedule_timer_in(sim::TimerClass::kMonitor, 2.0, [&] { ++fired; });
+  events.schedule_timer(sim::TimerClass::kGeneric, 1.0, [&] { ++fired; });
+  events.schedule_timer_in(sim::TimerClass::kRetransmit, 2.0, [&] { ++fired; });
   events.schedule_timer_at(3.0, [&] { ++fired; });  // compat shim
   events.schedule_timer_in(4.0, [&] { ++fired; });  // compat shim
-  EXPECT_EQ(events.timers_scheduled(sim::TimerClass::kSampler), 1u);
-  EXPECT_EQ(events.timers_scheduled(sim::TimerClass::kMonitor), 1u);
-  EXPECT_EQ(events.timers_scheduled(sim::TimerClass::kGeneric), 2u);
+  EXPECT_EQ(events.timers_scheduled(sim::TimerClass::kGeneric), 3u);
+  EXPECT_EQ(events.timers_scheduled(sim::TimerClass::kRetransmit), 1u);
+  EXPECT_EQ(events.timers_scheduled(sim::TimerClass::kHello), 0u);
   events.run_until(5.0);
   EXPECT_EQ(fired, 4);
+}
+
+// ------------------------------------------------------- engine validation
+
+// Four routers in a ring; the a-b link has zero propagation delay. With a
+// and b on different shards the window lookahead would be 0, and the
+// coordinator would size empty windows forever — so the combination must
+// be refused before anything runs.
+struct ZeroDelayRing {
+  graph::Topology topo;
+  std::vector<topo::FlowSpec> flows{{"a", "c", 1e5}};
+  ZeroDelayRing() {
+    for (const char* name : {"a", "b", "c", "d"}) topo.add_node(name);
+    topo.add_duplex(0, 1, graph::LinkAttr{1e6, 0.0});
+    topo.add_duplex(1, 2, graph::LinkAttr{1e6, 1e-3});
+    topo.add_duplex(2, 3, graph::LinkAttr{1e6, 1e-3});
+    topo.add_duplex(3, 0, graph::LinkAttr{1e6, 1e-3});
+  }
+};
+
+TEST(EngineValidation, ZeroDelayCrossShardLinkIsRejectedWithoutRunning) {
+  const ZeroDelayRing ring;
+  sim::SimConfig config;
+  config.duration = 1;
+  for (const int shards : {2, 4}) {
+    const auto shard_of = sim::assign_shards(ring.topo, shards);
+    ASSERT_NE(shard_of[0], shard_of[1])
+        << "a and b must sit on different shards at " << shards;
+    sim::EngineSpec engine;
+    engine.shards = shards;
+    try {
+      sim::validate_engine(ring.topo, config, engine);
+      ADD_FAILURE() << "validate_engine accepted shards=" << shards;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("zero propagation delay"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(sim::NetworkSim(ring.topo, ring.flows, config, engine),
+                 std::invalid_argument);
+  }
+  // One shard keeps every link local: nothing to refuse.
+  EXPECT_NO_THROW(sim::validate_engine(ring.topo, config, sim::EngineSpec{}));
+  EXPECT_NO_THROW(sim::NetworkSim(ring.topo, ring.flows, config));
+
+  // The scenario parser reports it as a diagnostic.
+  std::istringstream scn(
+      "node a\nnode b\nnode c\nnode d\n"
+      "link a b prop=0\nlink b c\nlink c d\nlink d a\n"
+      "flow a c rate=1e5\nengine shards=2\n");
+  std::string error;
+  EXPECT_FALSE(sim::parse_scenario(scn, &error).has_value());
+  EXPECT_NE(error.find("zero propagation delay"), std::string::npos) << error;
+}
+
+TEST(EngineValidation, DefaultIsOneShardAndBadCountsOrRecorderAreRejected) {
+  EXPECT_EQ(sim::EngineSpec{}.shards, 1);
+  const auto topo = topo::make_net1();
+  const auto flows = topo::net1_flows(0.3);
+  sim::SimConfig config;
+  for (const int shards : {0, -1}) {
+    sim::EngineSpec engine;
+    engine.shards = shards;
+    EXPECT_THROW(sim::validate_engine(topo, config, engine),
+                 std::invalid_argument);
+    EXPECT_THROW(sim::NetworkSim(topo, flows, config, engine),
+                 std::invalid_argument);
+  }
+  // The flight recorder is single-threaded: trace/flightrec need 1 shard.
+  sim::EngineSpec two;
+  two.shards = 2;
+  for (const bool trace : {true, false}) {
+    sim::SimConfig recorded = config;
+    recorded.trace = trace;
+    recorded.flightrec_capacity = trace ? 0 : 16;
+    try {
+      sim::validate_engine(topo, recorded, two);
+      ADD_FAILURE() << "recorder accepted at 2 shards";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("needs shards=1"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_NO_THROW(
+        sim::validate_engine(topo, recorded, sim::EngineSpec{}));
+  }
 }
 
 // ------------------------------------------------- shard-count determinism
@@ -267,8 +355,8 @@ void expect_shard_count_invariance(sim::ExperimentSpec spec) {
 sim::SimConfig chaos_config() {
   // The chaos scenario in miniature: two crashes (one fast reboot), a
   // flapping backbone link, bursty loss, control corruption + duplication,
-  // with monitor / LFI / time-series / sampler sweeps all exercising the
-  // coordinator's pause plan.
+  // with monitor / LFI / sampler sweeps all exercising the coordinator's
+  // pause plan.
   sim::SimConfig config;
   config.use_hello = true;
   config.hello.interval = 1.0;
@@ -287,7 +375,6 @@ sim::SimConfig chaos_config() {
   config.faults.chaos.duplicate_rate = 0.01;
   config.monitor_interval = 0.5;
   config.lfi_check_interval = 1.0;
-  config.timeseries_interval = 2.0;
   config.sample_interval = 2.0;
   return config;
 }
@@ -341,8 +428,8 @@ TEST(ParallelEngine, ShardedRunConservesPacketsAndKeepsInvariants) {
   EXPECT_GT(result.delivered, 0u);
   EXPECT_GT(result.events_processed, 0u);
   // LFI snapshots DO flag violations here — a crashed router's state is
-  // gone mid-sweep, exactly as in the single-threaded engine (the
-  // byte-identity tests above pin the counts to be engine-invariant).
+  // gone mid-sweep, at every shard count (the byte-identity tests above
+  // pin the counts to be shard-count-invariant).
   EXPECT_GT(result.lfi_checks, 0u);
   ASSERT_TRUE(result.monitor.has_value());
   EXPECT_EQ(result.monitor->forwarding_loops, 0u);
