@@ -66,7 +66,7 @@ class FromScratchTables {
   void link_up(NodeId k, Cost cost) {
     neighbors_.insert(k);
     link_costs_[k] = cost;
-    nbr_topo_[k].clear();
+    nbr_topo_[k] = {};
     auto& dist = nbr_dist_[k];
     dist.assign(num_nodes_, graph::kInfCost);
     dist[k] = 0;
@@ -74,14 +74,14 @@ class FromScratchTables {
 
   void apply_lsu(NodeId k, std::span<const proto::LsuEntry> entries) {
     proto::LinkStateTable& topo = nbr_topo_[k];
-    for (const proto::LsuEntry& e : entries) topo.apply(e);
+    topo.apply_batch(entries);
     const auto spt = graph::dijkstra(num_nodes_, topo.edges(), k);
     nbr_dist_[k] = spt.dist;
   }
 
   std::vector<proto::LsuEntry> mtu() {
     const proto::LinkStateTable before = main_;
-    proto::LinkStateTable merged;
+    std::vector<proto::LsuEntry> rows;
     for (NodeId j = 0; j < static_cast<NodeId>(num_nodes_); ++j) {
       if (j == self_) continue;
       NodeId preferred = graph::kInvalidNode;
@@ -94,18 +94,27 @@ class FromScratchTables {
         }
       }
       if (preferred == graph::kInvalidNode) continue;
-      for (const auto& [tail, cost] : nbr_topo_[preferred].links_from(j)) {
-        merged.set(j, tail, cost);
+      for (const auto& e : nbr_topo_[preferred].links_from(j)) {
+        rows.push_back(proto::LsuEntry{j, e.to, e.cost,
+                                       proto::LsuOp::kAddOrChange});
       }
     }
-    for (const NodeId k : neighbors_) merged.set(self_, k, link_costs_[k]);
+    for (const NodeId k : neighbors_) {
+      rows.push_back(proto::LsuEntry{self_, k, link_costs_[k],
+                                     proto::LsuOp::kAddOrChange});
+    }
+    proto::LinkStateTable merged;
+    merged.apply_batch(rows);
     const auto spt = graph::dijkstra(num_nodes_, merged.edges(), self_);
-    proto::LinkStateTable pruned;
+    std::vector<proto::LsuEntry> tree;
     for (NodeId v = 0; v < static_cast<NodeId>(num_nodes_); ++v) {
       const NodeId parent = spt.parent[v];
       if (parent == graph::kInvalidNode) continue;
-      pruned.set(parent, v, *merged.cost(parent, v));
+      tree.push_back(proto::LsuEntry{parent, v, *merged.cost(parent, v),
+                                     proto::LsuOp::kAddOrChange});
     }
+    proto::LinkStateTable pruned;
+    pruned.apply_batch(tree);
     dist_ = spt.dist;
     dist_[self_] = 0;
     main_ = pruned;
@@ -141,7 +150,7 @@ struct StormWorkload {
 };
 
 std::vector<proto::LsuEntry> as_lsu(
-    const std::vector<graph::CostedEdge>& edges) {
+    std::span<const graph::CostedEdge> edges) {
   std::vector<proto::LsuEntry> out;
   out.reserve(edges.size());
   for (const auto& e : edges) {

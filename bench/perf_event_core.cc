@@ -466,10 +466,12 @@ int run(int argc, char** argv) {
   const std::size_t scale_nodes = smoke ? 200 : 1000;
   const double scale_sim_s = 1.0;
 
+  // The macro runs first: its peak RSS is the process's high-water mark,
+  // which any earlier series would have raised.
+  const Macro macro = bench_macro(macro_duration);
   const Series legacy = bench_legacy(hops);
   const Series typed = bench_typed_link_hop(hops);
   const Series wheel = bench_timer_wheel(ticks);
-  const Macro macro = bench_macro(macro_duration);
   const double speedup = typed.events_per_sec() / legacy.events_per_sec();
 
   const EngineWorkload engine_work =

@@ -316,11 +316,15 @@ def validate_control_plane(doc):
 
     # The pre-incremental reference point: same measurement, taken once at
     # the pinned commit (the last from-scratch-tables revision). Optional —
-    # but when present its shape is held to the same schema.
+    # but when present its shape is held to the same schema, plus the CPU
+    # count of the host it was taken on (a ratio against a measurement
+    # from a host with a different count compares machines, not code).
     base = doc.get("prof_share_baseline")
     if base is not None:
-        check_fields(base, dict(CP_PROF_FIELDS, commit=str),
+        check_fields(base, dict(CP_PROF_FIELDS, commit=str, host_cpus=int),
                      "prof_share_baseline")
+        if base["host_cpus"] < 1:
+            fail(f"prof_share_baseline.host_cpus < 1: {base['host_cpus']}")
         if not 0.0 <= base["share"] <= 1.0:
             fail(f"prof_share_baseline.share = {base['share']} "
                  f"is not a fraction")
@@ -522,7 +526,13 @@ def main():
             before = (prior_baseline["table_update_self_ns"] +
                       prior_baseline["recompute_self_ns"])
             after = prof["table_update_self_ns"] + prof["recompute_self_ns"]
-            if after > 0:
+            base_cpus = prior_baseline.get("host_cpus")
+            if base_cpus != doc["host_cpus"]:
+                print(f"run_bench: attributed busy time not comparable: "
+                      f"{before / 1e9:.1f}s at {prior_baseline['commit']} "
+                      f"on a {base_cpus}-CPU host, {after / 1e9:.1f}s here "
+                      f"on a {doc['host_cpus']}-CPU host")
+            elif after > 0:
                 print(f"run_bench: attributed busy time "
                       f"{before / 1e9:.1f}s -> {after / 1e9:.1f}s "
                       f"({before / after:.2f}x drop vs "

@@ -21,6 +21,8 @@ struct CostedEdge {
   NodeId from = kInvalidNode;
   NodeId to = kInvalidNode;
   Cost cost = kInfCost;
+
+  friend bool operator==(const CostedEdge&, const CostedEdge&) = default;
 };
 
 /// Shortest-path tree: distances and tree parents indexed by node id.

@@ -73,10 +73,10 @@ class DynamicSpt {
 
  private:
   // Directed adjacency as two flat sorted arrays — out_ keyed (from, to),
-  // in_ keyed (to, from) — instead of per-node vectors: a router holds one
-  // DynamicSpt per neighbor, so per-node container overhead at n ~ 1000
-  // would dominate the footprint. Lookups are binary searches; edits are
-  // O(E) memmoves, amortized small against the repair they trigger.
+  // in_ keyed (to, from). A router holds one DynamicSpt, for its own SPT
+  // over the merged table, which unlike a neighbor table is no forest.
+  // Lookups are binary searches; edits are O(E) memmoves, amortized small
+  // against the repair they trigger.
   struct Arc {
     NodeId key;    ///< primary endpoint (from for out_, to for in_)
     NodeId other;  ///< the opposite endpoint

@@ -53,26 +53,15 @@ void RouterTables::mark_row_dirty(NodeId j, NodeId k) {
 std::vector<NodeId> RouterTables::apply_lsu(NodeId k,
                                             std::span<const LsuEntry> entries) {
   assert(is_neighbor(k));
-  LinkStateTable& topo = nbr_topo_[k];
-  auto spt_it = nbr_spt_.find(k);
-  if (spt_it == nbr_spt_.end()) {
-    spt_it = nbr_spt_.emplace(k, graph::DynamicSpt(num_nodes_, k)).first;
-  }
-  graph::DynamicSpt& spt = spt_it->second;
-  for (const LsuEntry& e : entries) {
-    if (!topo.apply(e)) continue;  // no-op entry: nothing can have changed
-    mark_row_dirty(e.head, k);
-    if (e.op == LsuOp::kDelete) {
-      spt.remove_edge(e.head, e.tail);
-    } else {
-      spt.set_edge(e.head, e.tail, e.cost);
-    }
-  }
-  // Fig. 2 step 1b-1c: repair D_jk in place of the from-scratch Dijkstra.
-  auto delta = spt.update();
-  for (const NodeId j : delta.dist_changed) mark_dirty(j, kDirtyMerge);
+  const auto it = nbrs_.find(k);
+  if (it == nbrs_.end()) return {};
+  // Fig. 2 step 1b-1c: path sums over T_k in place of the Dijkstra.
+  auto up = it->second.table.apply(entries);
+  for (const auto& c : up.links) mark_row_dirty(c.head, k);
+  for (const NodeId j : up.dist_changed) mark_dirty(j, kDirtyMerge);
+  if (up.used_dijkstra) ++nonforest_fallbacks_;
   audit();
-  return std::move(delta.dist_changed);
+  return std::move(up.dist_changed);
 }
 
 void RouterTables::link_up(NodeId k, Cost cost) {
@@ -81,59 +70,58 @@ void RouterTables::link_up(NodeId k, Cost cost) {
   // The fresh adjacency starts from an empty T_k: any destination whose row
   // the old incarnation supplied must be re-copied even if its preferred
   // neighbor does not move (k's own row is the classic case).
-  if (const auto it = nbr_topo_.find(k); it != nbr_topo_.end()) {
-    for (const auto& e : it->second.edges()) mark_dirty(e.from, kDirtyRowAll);
+  if (const auto it = nbrs_.find(k); it != nbrs_.end()) {
+    for (const auto& e : it->second.table.topology().edges()) {
+      mark_dirty(e.from, kDirtyRowAll);
+    }
   }
   neighbors_.insert(k);
-  link_costs_[k] = cost;
-  nbr_topo_[k].clear();
-  nbr_spt_.insert_or_assign(k, graph::DynamicSpt(num_nodes_, k));
+  nbrs_.insert_or_assign(k, Neighbor{cost, NeighborTable(k, num_nodes_)});
   all_dirty_ = true;
   audit();
 }
 
 void RouterTables::link_cost_change(NodeId k, Cost cost) {
   assert(cost >= 0 && cost < graph::kInfCost);
-  if (!is_neighbor(k)) return;  // raced with a link_down: nothing to update
-  auto& stored = link_costs_[k];
-  if (stored == cost) return;  // no input changed: MTU would be a no-op
-  stored = cost;
+  const auto it = nbrs_.find(k);
+  if (it == nbrs_.end()) return;  // raced with a link_down: nothing to update
+  if (it->second.link_cost == cost) return;  // MTU would be a no-op
+  it->second.link_cost = cost;
   all_dirty_ = true;  // l_k enters every destination's argmin
   audit();
 }
 
 void RouterTables::link_down(NodeId k) {
-  if (const auto it = nbr_topo_.find(k); it != nbr_topo_.end()) {
-    for (const auto& e : it->second.edges()) mark_dirty(e.from, kDirtyRowAll);
+  if (const auto it = nbrs_.find(k); it != nbrs_.end()) {
+    for (const auto& e : it->second.table.topology().edges()) {
+      mark_dirty(e.from, kDirtyRowAll);
+    }
+    nbrs_.erase(it);
   }
   neighbors_.erase(k);
-  link_costs_.erase(k);
-  nbr_topo_.erase(k);
-  nbr_spt_.erase(k);
   all_dirty_ = true;
   audit();
 }
 
 Cost RouterTables::link_cost(NodeId k) const {
-  const auto it = link_costs_.find(k);
-  return it == link_costs_.end() ? graph::kInfCost : it->second;
+  const auto it = nbrs_.find(k);
+  return it == nbrs_.end() ? graph::kInfCost : it->second.link_cost;
 }
 
 Cost RouterTables::distance_via(NodeId j, NodeId k) const {
-  const auto it = nbr_spt_.find(k);
-  if (it == nbr_spt_.end()) return graph::kInfCost;
-  return it->second.dist()[j];
+  const auto it = nbrs_.find(k);
+  return it == nbrs_.end() ? graph::kInfCost : it->second.table.dist()[j];
 }
 
 const std::vector<Cost>* RouterTables::distances_via(NodeId k) const {
-  const auto it = nbr_spt_.find(k);
-  return it == nbr_spt_.end() ? nullptr : &it->second.dist();
+  const auto it = nbrs_.find(k);
+  return it == nbrs_.end() ? nullptr : &it->second.table.dist();
 }
 
 const LinkStateTable& RouterTables::neighbor_topology(NodeId k) const {
   static const LinkStateTable kEmpty;
-  const auto it = nbr_topo_.find(k);
-  return it == nbr_topo_.end() ? kEmpty : it->second;
+  const auto it = nbrs_.find(k);
+  return it == nbrs_.end() ? kEmpty : it->second.table.topology();
 }
 
 std::vector<LsuEntry> RouterTables::mtu() {
@@ -151,34 +139,29 @@ std::vector<LsuEntry> RouterTables::mtu() {
     Cost link_cost;
   };
   std::vector<NbrView> views;
-  views.reserve(neighbors_.size());
-  for (const NodeId k : neighbors_) {
-    views.push_back(NbrView{k, &nbr_spt_.at(k).dist(), &nbr_topo_.at(k),
-                            link_costs_.at(k)});
+  views.reserve(nbrs_.size());
+  for (const auto& [k, nb] : nbrs_) {
+    views.push_back(
+        NbrView{k, &nb.table.dist(), &nb.table.topology(), nb.link_cost});
   }
 
-  // Tails of merged_ links that changed: only their pruned entry can move
-  // without a dist/parent change (a re-costed tree edge).
-  std::vector<NodeId> touched;
-  const auto merged_set = [&](NodeId h, NodeId t, Cost c) {
-    if (merged_.set(h, t, c)) {
-      own_spt_.set_edge(h, t, c);
-      touched.push_back(t);
+  // Fig. 3 steps 2-5 as one batch of edits to merged_: a re-copied row is
+  // its old links deleted, then the new ones added (the later entry wins).
+  std::vector<LsuEntry> edits;
+  const auto copy_row = [&](NodeId j, std::span<const graph::CostedEdge> row) {
+    for (const auto& e : merged_.links_from(j)) {
+      edits.push_back(LsuEntry{j, e.to, graph::kInfCost, LsuOp::kDelete});
     }
-  };
-  const auto merged_remove = [&](NodeId h, NodeId t) {
-    if (merged_.remove(h, t)) {
-      own_spt_.remove_edge(h, t);
-      touched.push_back(t);
+    for (const auto& e : row) {
+      edits.push_back(LsuEntry{j, e.to, e.cost, LsuOp::kAddOrChange});
     }
   };
 
   // Fig. 3 steps 2-4 for one destination: recompute the preferred neighbor
   // when its argmin inputs moved, and re-copy the row when the choice or
-  // the chosen row's content changed. The copy itself is a hinted in-place
-  // merge of the preferred neighbor's row into merged_ — no allocation,
-  // and a row dirtied only by a non-preferred neighbor is skipped
-  // entirely (row_dirty_by_ attributes single-neighbor row dirt).
+  // the chosen row's content changed. A row dirtied only by a
+  // non-preferred neighbor is skipped entirely (row_dirty_by_ attributes
+  // single-neighbor row dirt).
   const auto process = [&](NodeId j, bool merge_dirty) {
     NodeId p = preferred_[j];
     const LinkStateTable* ptopo = nullptr;
@@ -201,23 +184,11 @@ std::vector<LsuEntry> RouterTables::mtu() {
         ((dirty_[j] & kDirtyRow) != 0 && row_dirty_by_[j] == p);
     if (!p_changed && !row_dirty) return;
     if (p == graph::kInvalidNode) {
-      merged_.clear_row(j, [&](NodeId t) {
-        own_spt_.remove_edge(j, t);
-        touched.push_back(t);
-      });
+      copy_row(j, {});
       return;
     }
-    if (ptopo == nullptr) ptopo = &nbr_topo_.at(p);
-    merged_.replace_row_from(
-        j, *ptopo,
-        [&](NodeId t, Cost c) {
-          own_spt_.set_edge(j, t, c);
-          touched.push_back(t);
-        },
-        [&](NodeId t) {
-          own_spt_.remove_edge(j, t);
-          touched.push_back(t);
-        });
+    if (ptopo == nullptr) ptopo = &nbrs_.at(p).table.topology();
+    copy_row(j, ptopo->links_from(j));
   };
 
   if (all_dirty_) {
@@ -226,11 +197,9 @@ std::vector<LsuEntry> RouterTables::mtu() {
       process(j, /*merge_dirty=*/true);
     }
     // Fig. 3 step 5: adjacent links override anything neighbors reported.
-    const auto old_self = merged_.links_from(self_);
-    for (const NbrView& v : views) merged_set(self_, v.k, v.link_cost);
-    for (const auto& [t, c] : old_self) {
-      if (!neighbors_.contains(t)) merged_remove(self_, t);
-    }
+    std::vector<graph::CostedEdge> own;
+    for (const NbrView& v : views) own.push_back({self_, v.k, v.link_cost});
+    copy_row(self_, own);
   } else {
     for (const NodeId j : dirty_list_) {
       if (j == self_) continue;
@@ -245,6 +214,18 @@ std::vector<LsuEntry> RouterTables::mtu() {
   dirty_list_.clear();
   all_dirty_ = false;
 
+  // Tails of merged_ links that changed: only their pruned entry can move
+  // without a dist/parent change (a re-costed tree edge).
+  std::vector<NodeId> candidates;
+  for (const auto& c : merged_.apply_batch(edits)) {
+    if (c.after) {
+      own_spt_.set_edge(c.head, c.tail, *c.after);
+    } else {
+      own_spt_.remove_edge(c.head, c.tail);
+    }
+    candidates.push_back(c.tail);
+  }
+
   // Fig. 3 step 6: repair this router's shortest-path tree.
   const auto delta = own_spt_.update();
 
@@ -255,10 +236,8 @@ std::vector<LsuEntry> RouterTables::mtu() {
   last_mtu_dist_changed_ = delta.dist_changed;
 
   // Fig. 3 step 8: update the pruned T in place and report the differences
-  // in LinkStateTable::diff's order — kAddOrChange ascending by (head,
-  // tail), then kDelete ascending by (head, tail). Each candidate tail is
-  // handled exactly once, so add and delete key sets cannot overlap.
-  std::vector<NodeId> candidates = std::move(touched);
+  // in LinkStateTable::diff's order. Each candidate tail is handled exactly
+  // once, so no two edits name the same link.
   candidates.insert(candidates.end(), delta.dist_changed.begin(),
                     delta.dist_changed.end());
   for (const auto& [v, prev] : delta.parent_changed) candidates.push_back(v);
@@ -267,8 +246,7 @@ std::vector<LsuEntry> RouterTables::mtu() {
                    candidates.end());
 
   const auto& own_parent = own_spt_.parent();
-  std::vector<LsuEntry> adds;
-  std::vector<LsuEntry> dels;
+  std::vector<LsuEntry> tree_edits;
   auto pc = delta.parent_changed.begin();  // ascending by node
   for (const NodeId v : candidates) {
     const NodeId new_p = own_parent[v];
@@ -277,26 +255,18 @@ std::vector<LsuEntry> RouterTables::mtu() {
         (pc != delta.parent_changed.end() && pc->first == v) ? pc->second
                                                              : new_p;
     if (old_p != new_p && old_p != graph::kInvalidNode) {
-      if (main_.remove(old_p, v)) {
-        dels.push_back(LsuEntry{old_p, v, graph::kInfCost, LsuOp::kDelete});
-      }
+      tree_edits.push_back(
+          LsuEntry{old_p, v, graph::kInfCost, LsuOp::kDelete});
     }
     if (new_p != graph::kInvalidNode) {
       const auto cost = merged_.cost(new_p, v);
       assert(cost.has_value());
-      if (main_.set(new_p, v, *cost)) {
-        adds.push_back(LsuEntry{new_p, v, *cost, LsuOp::kAddOrChange});
-      }
+      tree_edits.push_back(LsuEntry{new_p, v, *cost, LsuOp::kAddOrChange});
     }
   }
-  const auto by_key = [](const LsuEntry& a, const LsuEntry& b) {
-    return a.head < b.head || (a.head == b.head && a.tail < b.tail);
-  };
-  std::sort(adds.begin(), adds.end(), by_key);
-  std::sort(dels.begin(), dels.end(), by_key);
-  adds.insert(adds.end(), dels.begin(), dels.end());
+  const auto changes = main_.apply_batch(tree_edits);
   audit();
-  return adds;
+  return LinkStateTable::entries_of(changes);
 }
 
 void RouterTables::audit() const {
@@ -305,13 +275,12 @@ void RouterTables::audit() const {
     throw std::logic_error("RouterTables audit (router " +
                            std::to_string(self_) + "): " + what);
   };
-  // 1. Every neighbor SPT matches a from-scratch Dijkstra over T_k.
-  for (const auto& [k, topo] : nbr_topo_) {
-    const auto it = nbr_spt_.find(k);
-    if (it == nbr_spt_.end()) fail("missing SPT for neighbor table");
-    const auto ref = graph::dijkstra(num_nodes_, topo.edges(), k);
-    if (ref.dist != it->second.dist() || ref.parent != it->second.parent()) {
-      fail("neighbor SPT diverged for k=" + std::to_string(k));
+  // 1. Every D_·k matches a from-scratch Dijkstra over T_k.
+  for (const auto& [k, nb] : nbrs_) {
+    const std::string diverged = nb.table.audit();
+    if (!diverged.empty()) {
+      fail("neighbor table " + diverged + " diverged for k=" +
+           std::to_string(k));
     }
   }
   // 2. The own SPT matches a from-scratch Dijkstra over merged_.
@@ -340,8 +309,8 @@ void RouterTables::audit() const {
       if (j == self_ || dirty_[j] != 0) continue;
       NodeId p = graph::kInvalidNode;
       Cost best = graph::kInfCost;
-      for (const NodeId k : neighbors_) {
-        const Cost d = distance_via(j, k) + link_cost(k);
+      for (const auto& [k, nb] : nbrs_) {
+        const Cost d = nb.table.dist()[j] + nb.link_cost;
         if (d < best) {
           best = d;
           p = k;
@@ -351,32 +320,33 @@ void RouterTables::audit() const {
         fail("stale preferred neighbor for clean destination " +
              std::to_string(j));
       }
-      const auto want_row =
-          p == graph::kInvalidNode
-              ? std::vector<std::pair<NodeId, Cost>>{}
-              : neighbor_topology(p).links_from(j);
-      if (merged_.links_from(j) != want_row) {
+      if (!std::ranges::equal(merged_.links_from(j),
+                              neighbor_topology(p).links_from(j))) {
         fail("stale merged row for clean destination " + std::to_string(j));
       }
     }
-    std::vector<std::pair<NodeId, Cost>> want_self;
-    for (const NodeId k : neighbors_) want_self.emplace_back(k, link_cost(k));
-    if (merged_.links_from(self_) != want_self) fail("stale self row");
+    std::vector<graph::CostedEdge> want_self;
+    for (const auto& [k, nb] : nbrs_) {
+      want_self.push_back({self_, k, nb.link_cost});
+    }
+    if (!std::ranges::equal(merged_.links_from(self_), want_self)) {
+      fail("stale self row");
+    }
   }
 }
 
 void RouterTables::save(ckpt::Writer& w) const {
   main_.save(w);
   merged_.save(w);
-  w.u64(nbr_topo_.size());
-  for (const auto& [k, table] : nbr_topo_) {
+  w.u64(nbrs_.size());
+  for (const auto& [k, nb] : nbrs_) {
     w.i64(k);
-    table.save(w);
+    nb.table.save(w);
   }
-  w.u64(link_costs_.size());
-  for (const auto& [k, c] : link_costs_) {
+  w.u64(nbrs_.size());
+  for (const auto& [k, nb] : nbrs_) {
     w.i64(k);
-    w.f64(c);
+    w.f64(nb.link_cost);
   }
   w.u64(neighbors_.size());
   for (NodeId k : neighbors_) w.i64(k);
@@ -396,22 +366,30 @@ void RouterTables::save(ckpt::Writer& w) const {
 void RouterTables::load(ckpt::Reader& r) {
   main_.load(r);
   merged_.load(r);
-  nbr_topo_.clear();
+  nbrs_.clear();
   std::uint64_t n = r.u64();
   for (std::uint64_t i = 0; i < n; ++i) {
     const auto k = static_cast<NodeId>(r.i64());
-    nbr_topo_[k].load(r);
+    if (k < 0 || static_cast<std::size_t>(k) >= num_nodes_) {
+      throw ckpt::Error("neighbor id outside the node range");
+    }
+    nbrs_.insert_or_assign(k, Neighbor{0, NeighborTable(k, num_nodes_)})
+        .first->second.table.load(r);
   }
-  link_costs_.clear();
   n = r.u64();
   for (std::uint64_t i = 0; i < n; ++i) {
-    const auto k = static_cast<NodeId>(r.i64());
-    link_costs_[k] = r.f64();
+    const auto it = nbrs_.find(static_cast<NodeId>(r.i64()));
+    if (it == nbrs_.end()) throw ckpt::Error("link cost for no neighbor");
+    it->second.link_cost = r.f64();
   }
+  const std::uint64_t costs = n;
   neighbors_.clear();
   n = r.u64();
   for (std::uint64_t i = 0; i < n; ++i) {
     neighbors_.insert(static_cast<NodeId>(r.i64()));
+  }
+  if (costs != nbrs_.size() || neighbors_.size() != nbrs_.size()) {
+    throw ckpt::Error("neighbor tables, link costs and neighbors disagree");
   }
   dist_.resize(r.u64());
   for (Cost& c : dist_) c = r.f64();
@@ -426,17 +404,12 @@ void RouterTables::load(ckpt::Reader& r) {
   row_dirty_by_.resize(r.u64());
   for (NodeId& v : row_dirty_by_) v = static_cast<NodeId>(r.i64());
   all_dirty_ = r.b();
-  // The SPTs are derived state: rebuild canonically (dynamic_spt.h — the
-  // from-scratch tree IS the incrementally maintained tree, bit for bit).
+  // The own SPT is derived state: rebuild it canonically (dynamic_spt.h —
+  // the from-scratch tree IS the incrementally maintained tree, bit for
+  // bit).
   own_spt_ = graph::DynamicSpt(num_nodes_, self_);
   for (const auto& e : merged_.edges()) own_spt_.set_edge(e.from, e.to, e.cost);
   own_spt_.rebuild();
-  nbr_spt_.clear();
-  for (const auto& [k, topo] : nbr_topo_) {
-    auto [it, inserted] = nbr_spt_.emplace(k, graph::DynamicSpt(num_nodes_, k));
-    for (const auto& e : topo.edges()) it->second.set_edge(e.from, e.to, e.cost);
-    it->second.rebuild();
-  }
   audit();
 }
 

@@ -10,8 +10,11 @@
 // Table maintenance is INCREMENTAL but output-identical to the from-scratch
 // procedures of the paper:
 //
-//   * D_jk is the distance vector of a dynamically maintained SPT of T_k
-//     (graph::DynamicSpt), repaired per LSU instead of recomputed;
+//   * each T_k is stored once (proto::NeighborTable). k's diffs keep it the
+//     in-forest MTU prunes k's main table to, so D_jk is a path sum along
+//     it, and a batch re-sums only the subtrees whose in-edge changed. A
+//     T_k with two in-edges into one node falls back to graph::dijkstra
+//     (nonforest_fallbacks() counts these; k's real diffs never build one);
 //   * the Fig. 3 merge keeps a persistent `merged_` topology plus a
 //     per-destination preferred-neighbor cache, and re-merges only
 //     destinations whose inputs changed (per-destination dirty sets:
@@ -21,11 +24,12 @@
 //     SPT's repair delta, so a clean MTU is O(1) and a dirty one is
 //     proportional to what actually changed.
 //
-// The equivalence rests on DynamicSpt's canonicality contract (lowest-id
-// tight predecessor, exact-double distances — see graph/dynamic_spt.h).
-// Configuring with -DMDR_AUDIT_TABLES=ON (or set_audit_enabled(true))
-// cross-checks every NTU/MTU against the from-scratch computation and
-// throws std::logic_error on any divergence.
+// The equivalence rests on exact doubles: a tree path sum is the value
+// graph::dijkstra computes, and the own SPT is canonical (lowest-id tight
+// predecessor — see graph/dynamic_spt.h). Configuring with
+// -DMDR_AUDIT_TABLES=ON (or set_audit_enabled(true)) cross-checks every
+// NTU/MTU against the from-scratch computation and throws
+// std::logic_error on any divergence.
 //
 // PDA converges to correct shortest paths (paper Theorem 2) but offers no
 // instantaneous loop-freedom; MPDA (core/mpda.h) layers the LFI machinery
@@ -67,9 +71,10 @@ class RouterTables {
   // --- NTU pieces (Fig. 2) -------------------------------------------------
 
   /// Fig. 2 step 1: fold an LSU from neighbor k into T_k and repair the
-  /// distances D_jk (from k to every j in T_k). Returns the destinations j
-  /// whose D_jk changed, ascending (consumers can restrict successor-set
-  /// rescans to them).
+  /// distances D_jk (from k to every j in T_k). Entries naming a node
+  /// outside [0, num_nodes) or a self-loop are ignored. Returns the
+  /// destinations j whose D_jk changed, ascending (consumers can restrict
+  /// successor-set rescans to them).
   std::vector<graph::NodeId> apply_lsu(graph::NodeId k,
                                        std::span<const LsuEntry> entries);
 
@@ -119,6 +124,10 @@ class RouterTables {
   const LinkStateTable& main_topology() const { return main_; }
   const LinkStateTable& neighbor_topology(graph::NodeId k) const;
 
+  /// LSU batches after which some T_k was not a forest, so D_·k came from
+  /// graph::dijkstra instead of path sums (a diagnostic: not checkpointed).
+  std::uint64_t nonforest_fallbacks() const { return nonforest_fallbacks_; }
+
   /// Globally toggles the incremental-vs-from-scratch cross-check (defaults
   /// to on when built with -DMDR_AUDIT_TABLES=ON). A divergence throws
   /// std::logic_error.
@@ -143,14 +152,17 @@ class RouterTables {
   void mark_row_dirty(graph::NodeId j, graph::NodeId k);
   void audit() const;
 
+  struct Neighbor {
+    graph::Cost link_cost;  // l_k
+    NeighborTable table;    // T_k and D_·k
+  };
+
   graph::NodeId self_;
   std::size_t num_nodes_;
   LinkStateTable main_;    // T (pruned own SPT)
   LinkStateTable merged_;  // Fig. 3 steps 2-5 output, maintained in place
-  std::map<graph::NodeId, LinkStateTable> nbr_topo_;    // T_k
-  std::map<graph::NodeId, graph::DynamicSpt> nbr_spt_;  // SPT(T_k, k); D_jk
-  std::map<graph::NodeId, graph::Cost> link_costs_;     // l_k
-  std::set<graph::NodeId> neighbors_;
+  std::map<graph::NodeId, Neighbor> nbrs_;
+  std::set<graph::NodeId> neighbors_;  // the keys of nbrs_
   std::vector<graph::Cost> dist_;  // D_j
   graph::DynamicSpt own_spt_;      // SPT(merged_, self)
   /// Preferred neighbor per destination as of the last mtu() (the Fig. 3
@@ -165,6 +177,7 @@ class RouterTables {
   /// is suspect. Starts true so the first mtu() merges everything.
   bool all_dirty_ = true;
   std::vector<graph::NodeId> last_mtu_dist_changed_;
+  std::uint64_t nonforest_fallbacks_ = 0;
 
   static bool audit_enabled_;
 };

@@ -1,14 +1,20 @@
 // Link-state tables (paper Section 4.1).
 //
-// LinkStateTable is the representation of both the main topology table T^i
-// and the per-neighbor topology tables T^i_k: a set of directed links with
-// costs, diffable so a router can advertise exactly what changed.
+// LinkStateTable is the representation of the main topology table T^i, of
+// the merged table MTU prunes it from, and of the per-neighbor topology
+// tables T^i_k: a set of directed links with costs, diffable so a router
+// can advertise exactly what changed. It is one flat array of costed edges
+// sorted by (head, tail), so it is graph::dijkstra's input as it stands and
+// each head's links form one contiguous row.
+//
+// NeighborTable is one T^i_k together with the distances D_jk from k over
+// it (Fig. 2, NTU step 1), kept up to date by tree path sums.
 #pragma once
 
-#include <limits>
-#include <map>
+#include <cstdint>
 #include <optional>
-#include <utility>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "ckpt/ckpt.h"
@@ -21,8 +27,7 @@ namespace mdr::proto {
 class LinkStateTable {
  public:
   /// Installs or updates a directed link. Returns whether the table
-  /// changed (false when the link already had exactly this cost), so
-  /// callers can maintain per-head dirty sets.
+  /// changed (false when the link already had exactly this cost).
   bool set(graph::NodeId head, graph::NodeId tail, graph::Cost cost);
 
   /// Removes a link if present. Returns whether a link was removed.
@@ -32,97 +37,108 @@ class LinkStateTable {
   /// table changed.
   bool apply(const LsuEntry& entry);
 
+  /// One link whose state a batch changed; nullopt means absent.
+  struct Change {
+    graph::NodeId head;
+    graph::NodeId tail;
+    std::optional<graph::Cost> before;
+    std::optional<graph::Cost> after;
+  };
+
+  /// Applies `entries` with the net effect of applying them one by one in
+  /// order (the last entry naming a link wins), in place, in one pass over
+  /// the table: O(size + batch log batch), not a shift of the table per
+  /// entry. Returns the links whose final state differs from their initial
+  /// one, in key order.
+  std::vector<Change> apply_batch(std::span<const LsuEntry> entries);
+
   std::optional<graph::Cost> cost(graph::NodeId head,
                                   graph::NodeId tail) const;
 
-  void clear() { links_.clear(); }
   std::size_t size() const { return links_.size(); }
   bool empty() const { return links_.empty(); }
 
-  /// Snapshot as costed edges (Dijkstra input).
-  std::vector<graph::CostedEdge> edges() const;
+  /// Every link in (head, tail) order (Dijkstra input).
+  std::span<const graph::CostedEdge> edges() const { return links_; }
 
-  /// The links whose head is `head`, as (tail, cost) pairs in tail order
-  /// (what MTU copies from the preferred neighbor's table).
-  std::vector<std::pair<graph::NodeId, graph::Cost>> links_from(
-      graph::NodeId head) const;
+  /// The links whose head is `head`, in tail order (what MTU copies from
+  /// the preferred neighbor's table).
+  std::span<const graph::CostedEdge> links_from(graph::NodeId head) const;
 
   /// Snapshot as add/change LSU entries (full-topology sync on link-up).
   std::vector<LsuEntry> as_entries() const;
 
-  /// Replaces this table's row `head` with `src`'s row `head` in one
-  /// hinted two-pointer merge: no allocation, amortized O(1) per link.
-  /// Calls on_set(tail, cost) for every link actually inserted or
-  /// re-costed and on_del(tail) for every link actually removed — the
-  /// same change conditions as per-link set()/remove().
-  template <class OnSet, class OnDel>
-  void replace_row_from(graph::NodeId head, const LinkStateTable& src,
-                        OnSet&& on_set, OnDel&& on_del) {
-    constexpr auto kLow = std::numeric_limits<graph::NodeId>::lowest();
-    auto it = links_.lower_bound({head, kLow});
-    auto jt = src.links_.lower_bound({head, kLow});
-    while (true) {
-      const bool mine = it != links_.end() && it->first.first == head;
-      const bool theirs = jt != src.links_.end() && jt->first.first == head;
-      if (!mine && !theirs) break;
-      if (!mine || (theirs && jt->first.second < it->first.second)) {
-        it = links_.emplace_hint(it, jt->first, jt->second);
-        on_set(jt->first.second, jt->second);
-        ++it;
-        ++jt;
-      } else if (!theirs || it->first.second < jt->first.second) {
-        on_del(it->first.second);
-        it = links_.erase(it);
-      } else {
-        if (it->second != jt->second) {
-          it->second = jt->second;
-          on_set(jt->first.second, jt->second);
-        }
-        ++it;
-        ++jt;
-      }
-    }
-  }
-
-  /// Removes every link of row `head`, calling on_del(tail) per link.
-  template <class OnDel>
-  void clear_row(graph::NodeId head, OnDel&& on_del) {
-    constexpr auto kLow = std::numeric_limits<graph::NodeId>::lowest();
-    auto it = links_.lower_bound({head, kLow});
-    while (it != links_.end() && it->first.first == head) {
-      on_del(it->first.second);
-      it = links_.erase(it);
-    }
-  }
-
-  /// Entries that transform `before` into `after`: kAddOrChange for new or
-  /// re-costed links, kDelete for vanished ones. Deterministic order.
+  /// Entries that transform `before` into `after`, in entries_of() order.
   static std::vector<LsuEntry> diff(const LinkStateTable& before,
                                     const LinkStateTable& after);
 
+  /// `changes` as LSU entries in the order a router floods them: every
+  /// kAddOrChange (new or re-costed link), then every kDelete, each group
+  /// in the changes' key order.
+  static std::vector<LsuEntry> entries_of(std::span<const Change> changes);
+
   friend bool operator==(const LinkStateTable&, const LinkStateTable&) = default;
 
-  void save(ckpt::Writer& w) const {
-    w.u64(links_.size());
-    for (const auto& [key, cost] : links_) {
-      w.i64(key.first);
-      w.i64(key.second);
-      w.f64(cost);
-    }
-  }
-  void load(ckpt::Reader& r) {
-    links_.clear();
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const auto head = static_cast<graph::NodeId>(r.i64());
-      const auto tail = static_cast<graph::NodeId>(r.i64());
-      links_[{head, tail}] = r.f64();
-    }
-  }
+  void save(ckpt::Writer& w) const;
+  /// Throws ckpt::Error unless the links are in strictly ascending key
+  /// order, as save() writes them.
+  void load(ckpt::Reader& r);
 
  private:
-  using Key = std::pair<graph::NodeId, graph::NodeId>;
-  std::map<Key, graph::Cost> links_;  // ordered: deterministic diffs
+  std::vector<graph::CostedEdge> links_;  // sorted by (from, to), unique
+};
+
+/// T_k and D_·k for one neighbor k.
+///
+/// T_k is built from k's diffs of its own main table, which MTU prunes to
+/// k's shortest-path tree (Figs. 2-3). So T_k is an in-forest: every node
+/// has at most one usable in-edge, and D_jk is the sum of the edge costs
+/// along j's path from k. Summed left to right, that is exactly the double
+/// graph::dijkstra produces on the table. After a batch, only the subtrees
+/// whose root's in-edge changed are cut and summed again. A table in which
+/// some node has two usable in-edges, which k's real diffs never build,
+/// gets its D_·k from graph::dijkstra instead.
+///
+/// Usable edges follow graph::dijkstra's filter: an entry whose head or
+/// tail is outside [0, n), or whose head equals its tail, is ignored; a
+/// stored link with a negative, NaN or infinite cost is no edge.
+class NeighborTable {
+ public:
+  NeighborTable(graph::NodeId root, std::size_t num_nodes);
+
+  struct Update {
+    std::vector<LinkStateTable::Change> links;  ///< net changes, key order
+    std::vector<graph::NodeId> dist_changed;    ///< ascending
+    bool used_dijkstra = false;  ///< the table was not a forest
+  };
+
+  /// Folds a batch of k's LSU entries into T_k and brings D_·k up to date.
+  Update apply(std::span<const LsuEntry> entries);
+
+  const LinkStateTable& topology() const { return topo_; }
+  const std::vector<graph::Cost>& dist() const { return dist_; }
+
+  void save(ckpt::Writer& w) const { topo_.save(w); }
+  /// Restores T_k and derives the rest. Throws ckpt::Error on a link that
+  /// apply() would have ignored.
+  void load(ckpt::Reader& r);
+
+  /// Cross-checks the in-edge bookkeeping and D_·k against a recount and
+  /// graph::dijkstra; returns what diverged, or "" when nothing did.
+  std::string audit() const;
+
+ private:
+  void count_in_edge(graph::NodeId head, graph::NodeId tail, int delta);
+  void recount();  // the in-edge tallies afresh from the table
+
+  graph::NodeId root_;
+  LinkStateTable topo_;
+  /// Per node: XOR of the heads of its usable in-edges, and their number.
+  /// With one in-edge, the XOR is its head.
+  std::vector<graph::NodeId> in_xor_;
+  std::vector<std::uint32_t> in_count_;
+  std::size_t many_in_ = 0;  // nodes with more than one usable in-edge
+  std::vector<graph::Cost> dist_;  // D_·k
 };
 
 }  // namespace mdr::proto

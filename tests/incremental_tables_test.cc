@@ -8,6 +8,8 @@
 // round trip validates the v2 canonical-rebuild restore path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
 #include <utility>
@@ -148,6 +150,10 @@ void chaos_run(const graph::Topology& topo, std::uint64_t seed,
 
   h.run_to_quiescence(rng);
   expect_converged(h, costs, down);
+  // Neighbors report trees, so no T_k ever needed the Dijkstra fallback.
+  for (NodeId i = 0; i < static_cast<NodeId>(topo.num_nodes()); ++i) {
+    EXPECT_EQ(h.node(i).tables().nonforest_fallbacks(), 0u) << "router " << i;
+  }
 }
 
 TEST(IncrementalTables, ChaosEquivalenceOnCairn) {
@@ -252,6 +258,100 @@ TEST(IncrementalTables, RandomLsuBatchesStayConsistent) {
   const auto truth = graph::dijkstra(n, t.main_topology().edges(), 0);
   for (NodeId j = 0; j < n; ++j) {
     EXPECT_EQ(t.distance(j), truth.dist[j]) << "dest " << j;
+  }
+  // Random links put two in-edges into one node, so this stream covers
+  // the Dijkstra fallback.
+  EXPECT_GT(t.nonforest_fallbacks(), 0u);
+
+  // Second stream: what a neighbor really sends, the diffs of its own
+  // shortest-path tree as link costs change, plus the irregular traffic
+  // of a live network: full-sync re-sends, a withdrawn in-edge that
+  // orphans a subtree, deletes of absent links, kInfCost adds, a parent
+  // move with its add and delete in either order, an in-edge into k
+  // itself and a cycle k cannot reach. Every T_k stays a forest.
+  Rng trng(32);
+  const NodeId ring = 10;  // nodes 10 and 11 are off the graph
+  std::vector<graph::CostedEdge> graph_edges;
+  for (NodeId v = 0; v < ring; ++v) {
+    const NodeId w = (v + 1) % ring;
+    const NodeId c = (v + 3) % ring;
+    for (const auto& [a, b] : {std::pair{v, w}, std::pair{v, c}}) {
+      graph_edges.push_back({a, b, trng.uniform(0.5, 4.0)});
+      graph_edges.push_back({b, a, trng.uniform(0.5, 4.0)});
+    }
+  }
+  const auto tree_of = [&](NodeId k) {
+    std::vector<proto::LsuEntry> adds;
+    for (const auto& e : graph::tree_edges(
+             graph::dijkstra(n, graph_edges, k), graph_edges)) {
+      adds.push_back({e.from, e.to, e.cost, proto::LsuOp::kAddOrChange});
+    }
+    proto::LinkStateTable tree;
+    tree.apply_batch(adds);
+    return tree;
+  };
+  const auto pick = [&trng](NodeId lo, NodeId hi) {
+    return static_cast<NodeId>(trng.uniform_int(lo, hi));
+  };
+  proto::RouterTables f(0, n);
+  std::map<NodeId, proto::LinkStateTable> sent;  // mirror of each T_k
+  for (const NodeId k : {1, 9}) f.link_up(k, trng.uniform(0.5, 4.0));
+  for (int step = 0; step < 400; ++step) {
+    graph_edges[static_cast<std::size_t>(trng.uniform_int(
+                    0, static_cast<int>(graph_edges.size()) - 1))]
+        .cost = trng.uniform(0.5, 4.0);
+    const NodeId k = trng.bernoulli(0.5) ? 1 : 9;
+    if (trng.bernoulli(0.03)) {  // flap: T_k restarts from a full sync
+      f.link_down(k);
+      f.link_up(k, trng.uniform(0.5, 4.0));
+      sent[k] = {};
+    }
+    const proto::LinkStateTable tree = tree_of(k);
+    const auto links = tree.edges();
+    proto::LinkStateTable want = tree;
+    if (trng.bernoulli(0.15)) {  // orphan the subtree below one tree link
+      const auto& e = links[static_cast<std::size_t>(
+          trng.uniform_int(0, static_cast<int>(links.size()) - 1))];
+      want.remove(e.from, e.to);
+    }
+    if (trng.bernoulli(0.2)) {  // an unusable second in-edge
+      const auto& e = links[static_cast<std::size_t>(
+          trng.uniform_int(0, static_cast<int>(links.size()) - 1))];
+      const NodeId a = pick(0, ring - 1);
+      if (a != e.to && a != e.from) want.set(a, e.to, graph::kInfCost);
+    }
+    if (trng.bernoulli(0.2)) {  // an in-edge into k itself
+      const NodeId a = pick(0, n - 1);
+      if (a != k) want.set(a, k, trng.uniform(0.5, 4.0));
+    }
+    if (trng.bernoulli(0.2)) {  // a cycle k cannot reach
+      want.set(ring, ring + 1, trng.uniform(0.5, 4.0));
+      want.set(ring + 1, ring, trng.uniform(0.5, 4.0));
+    }
+    auto batch = proto::LinkStateTable::diff(sent[k], want);
+    if (trng.bernoulli(0.5)) std::reverse(batch.begin(), batch.end());
+    if (trng.bernoulli(0.1)) {  // a re-send of the whole table
+      const auto full = want.as_entries();
+      batch.insert(batch.end(), full.begin(), full.end());
+    }
+    if (trng.bernoulli(0.2)) {  // a delete of a link T_k does not hold
+      const NodeId a = pick(0, n - 1);
+      const NodeId b = pick(0, n - 1);
+      if (a != b && !want.cost(a, b) && !sent[k].cost(a, b)) {
+        batch.push_back({a, b, 0, proto::LsuOp::kDelete});
+      }
+    }
+    f.apply_lsu(k, batch);
+    sent[k] = std::move(want);
+    ASSERT_EQ(f.neighbor_topology(k), sent[k]) << "step " << step;
+    if (trng.bernoulli(0.5)) f.mtu();
+    if (trng.bernoulli(0.05)) f.link_cost_change(1, trng.uniform(0.5, 4.0));
+  }
+  f.mtu();
+  EXPECT_EQ(f.nonforest_fallbacks(), 0u);
+  const auto tree_truth = graph::dijkstra(n, f.main_topology().edges(), 0);
+  for (NodeId j = 0; j < n; ++j) {
+    EXPECT_EQ(f.distance(j), tree_truth.dist[j]) << "dest " << j;
   }
 }
 

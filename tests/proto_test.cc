@@ -249,8 +249,8 @@ TEST(LinkStateTable, LinksFromFiltersByHead) {
   t.set(2, 3, 3.0);
   const auto from1 = t.links_from(1);
   ASSERT_EQ(from1.size(), 2u);
-  EXPECT_EQ(from1[0].first, 0);
-  EXPECT_EQ(from1[1].first, 2);
+  EXPECT_EQ(from1[0].to, 0);
+  EXPECT_EQ(from1[1].to, 2);
   EXPECT_TRUE(t.links_from(0).empty());
 }
 
@@ -340,6 +340,32 @@ TEST(RouterTables, MtuDiffIsIncremental) {
   const auto third = t.mtu();
   ASSERT_EQ(third.size(), 1u);  // 0->1 re-costed
   EXPECT_DOUBLE_EQ(third[0].cost, 2.0);
+}
+
+// The codec accepts any non-negative node id (the checksum does not bound
+// ids) and self-loops. The router ignores such entries, as Dijkstra ignores
+// such edges, instead of storing them and indexing past its arrays in MTU.
+TEST(RouterTables, IgnoresOutOfRangeAndSelfLoopEntries) {
+  const LsuEntry in_range[] = {{1, 2, 1.0, LsuOp::kAddOrChange},
+                               {2, 3, 2.0, LsuOp::kAddOrChange}};
+  const LsuEntry mixed[] = {{1, 2, 1.0, LsuOp::kAddOrChange},
+                            {1, 1000000, 1.0, LsuOp::kAddOrChange},
+                            {1000000, 3, 1.0, LsuOp::kAddOrChange},
+                            {-5, 3, 1.0, LsuOp::kAddOrChange},
+                            {2, 2, 1.0, LsuOp::kAddOrChange},
+                            {2, 3, 2.0, LsuOp::kAddOrChange},
+                            {3, 3, 0, LsuOp::kDelete}};
+  RouterTables want(0, 4);
+  RouterTables got(0, 4);
+  want.link_up(1, 1.0);
+  got.link_up(1, 1.0);
+  EXPECT_EQ(got.apply_lsu(1, mixed), want.apply_lsu(1, in_range));
+  EXPECT_EQ(got.neighbor_topology(1), want.neighbor_topology(1));
+  EXPECT_EQ(got.mtu(), want.mtu());
+  for (NodeId j = 0; j < 4; ++j) {
+    EXPECT_EQ(got.distance_via(j, 1), want.distance_via(j, 1)) << "dest " << j;
+    EXPECT_EQ(got.distance(j), want.distance(j)) << "dest " << j;
+  }
 }
 
 // --------------------------------------------------------------------- PDA
