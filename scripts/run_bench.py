@@ -338,8 +338,8 @@ def measure_prof_share(build_dir):
     Runs mdrsim with the deep profiler and computes
     (mpda.table_update + mpda.recompute self time) / engine.busy total
     time, summed across shard tracks. This is the number the dirty-set
-    MTU + dynamic SPT work is accountable to (docs/SIMULATOR.md "Costs
-    and scale" records the before/after).
+    MTU and the incremental own SPT are accountable to (docs/SIMULATOR.md
+    "Costs and scale" records the before/after).
     """
     mdrsim = build_dir / "apps" / "mdrsim"
     scenario = REPO_ROOT / "examples" / "scenarios" / "waxman_scale.scn"

@@ -193,6 +193,15 @@ class Reader {
                   std::to_string(want) + ", got " + std::to_string(got) + ")");
     }
   }
+  /// Reads a vector length and throws unless it is `want` (a per-node
+  /// vector must cover exactly the node range).
+  void expect_size(std::uint64_t want, const std::string& what) {
+    const std::uint64_t got = u64();
+    if (got != want) {
+      throw Error("checkpoint " + what + " has length " + std::to_string(got) +
+                  ", want " + std::to_string(want));
+    }
+  }
   bool at_end() const { return pos_ == buf_.size(); }
   void expect_end() const {
     if (!at_end()) throw Error("checkpoint has trailing bytes");

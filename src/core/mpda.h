@@ -267,14 +267,15 @@ class MpdaProcess final : public proto::RoutingProcess {
     for (std::uint64_t i = 0; i < n; ++i) {
       full_sync_.insert(static_cast<graph::NodeId>(r.i64()));
     }
-    fd_.resize(r.u64());
+    const std::size_t num_nodes = tables_.num_nodes();
+    r.expect_size(num_nodes, "feasible-distance vector");
     for (graph::Cost& c : fd_) c = r.f64();
-    successors_.resize(r.u64());
+    r.expect_size(num_nodes, "successor sets");
     for (auto& succ : successors_) {
       succ.resize(r.u64());
       for (graph::NodeId& k : succ) k = static_cast<graph::NodeId>(r.i64());
     }
-    successor_versions_.resize(r.u64());
+    r.expect_size(num_nodes, "successor versions");
     for (std::uint64_t& v : successor_versions_) v = r.u64();
     messages_sent_ = r.u64();
     pace_.clear();

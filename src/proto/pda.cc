@@ -19,14 +19,10 @@ bool RouterTables::audit_enabled_ = false;
 RouterTables::RouterTables(NodeId self, std::size_t num_nodes)
     : self_(self),
       num_nodes_(num_nodes),
-      dist_(num_nodes, graph::kInfCost),
-      own_spt_(num_nodes, self),
+      merged_(self, num_nodes),
       preferred_(num_nodes, graph::kInvalidNode),
       dirty_(num_nodes, 0),
-      row_dirty_by_(num_nodes, graph::kInvalidNode) {
-  assert(self >= 0 && static_cast<std::size_t>(self) < num_nodes);
-  dist_[self_] = 0;
-}
+      row_dirty_by_(num_nodes, graph::kInvalidNode) {}
 
 void RouterTables::mark_dirty(NodeId j, std::uint8_t bits) {
   if (j < 0 || static_cast<std::size_t>(j) >= num_nodes_) return;
@@ -75,7 +71,6 @@ void RouterTables::link_up(NodeId k, Cost cost) {
       mark_dirty(e.from, kDirtyRowAll);
     }
   }
-  neighbors_.insert(k);
   nbrs_.insert_or_assign(k, Neighbor{cost, NeighborTable(k, num_nodes_)});
   all_dirty_ = true;
   audit();
@@ -98,7 +93,6 @@ void RouterTables::link_down(NodeId k) {
     }
     nbrs_.erase(it);
   }
-  neighbors_.erase(k);
   all_dirty_ = true;
   audit();
 }
@@ -149,7 +143,7 @@ std::vector<LsuEntry> RouterTables::mtu() {
   // its old links deleted, then the new ones added (the later entry wins).
   std::vector<LsuEntry> edits;
   const auto copy_row = [&](NodeId j, std::span<const graph::CostedEdge> row) {
-    for (const auto& e : merged_.links_from(j)) {
+    for (const auto& e : merged_.topology().links_from(j)) {
       edits.push_back(LsuEntry{j, e.to, graph::kInfCost, LsuOp::kDelete});
     }
     for (const auto& e : row) {
@@ -214,38 +208,25 @@ std::vector<LsuEntry> RouterTables::mtu() {
   dirty_list_.clear();
   all_dirty_ = false;
 
-  // Tails of merged_ links that changed: only their pruned entry can move
-  // without a dist/parent change (a re-costed tree edge).
-  std::vector<NodeId> candidates;
-  for (const auto& c : merged_.apply_batch(edits)) {
-    if (c.after) {
-      own_spt_.set_edge(c.head, c.tail, *c.after);
-    } else {
-      own_spt_.remove_edge(c.head, c.tail);
-    }
-    candidates.push_back(c.tail);
-  }
-
-  // Fig. 3 step 6: repair this router's shortest-path tree.
-  const auto delta = own_spt_.update();
-
-  // Fig. 3 step 7: refresh D_j where it moved.
-  const auto& own_dist = own_spt_.dist();
-  for (const NodeId v : delta.dist_changed) dist_[v] = own_dist[v];
-  dist_[self_] = 0;
-  last_mtu_dist_changed_ = delta.dist_changed;
+  // Fig. 3 steps 6-7: repair this router's shortest-path tree, and with
+  // it D_j.
+  auto delta = merged_.apply(edits);
 
   // Fig. 3 step 8: update the pruned T in place and report the differences
-  // in LinkStateTable::diff's order. Each candidate tail is handled exactly
-  // once, so no two edits name the same link.
-  candidates.insert(candidates.end(), delta.dist_changed.begin(),
-                    delta.dist_changed.end());
+  // in LinkStateTable::diff's order. The candidates are the tails of the
+  // merged links that changed (only their pruned entry can move without a
+  // dist/parent change: a re-costed tree edge) and every node whose
+  // distance or parent moved. Each is handled exactly once, so no two
+  // edits name the same link.
+  std::vector<NodeId> candidates = delta.dist_changed;
+  for (const auto& c : delta.links) candidates.push_back(c.tail);
   for (const auto& [v, prev] : delta.parent_changed) candidates.push_back(v);
   std::sort(candidates.begin(), candidates.end());
   candidates.erase(std::unique(candidates.begin(), candidates.end()),
                    candidates.end());
+  last_mtu_dist_changed_ = std::move(delta.dist_changed);
 
-  const auto& own_parent = own_spt_.parent();
+  const auto& own_parent = merged_.parent();
   std::vector<LsuEntry> tree_edits;
   auto pc = delta.parent_changed.begin();  // ascending by node
   for (const NodeId v : candidates) {
@@ -259,7 +240,7 @@ std::vector<LsuEntry> RouterTables::mtu() {
           LsuEntry{old_p, v, graph::kInfCost, LsuOp::kDelete});
     }
     if (new_p != graph::kInvalidNode) {
-      const auto cost = merged_.cost(new_p, v);
+      const auto cost = merged_.topology().cost(new_p, v);
       assert(cost.has_value());
       tree_edits.push_back(LsuEntry{new_p, v, *cost, LsuOp::kAddOrChange});
     }
@@ -283,24 +264,21 @@ void RouterTables::audit() const {
            std::to_string(k));
     }
   }
-  // 2. The own SPT matches a from-scratch Dijkstra over merged_.
-  const auto ref = graph::dijkstra(num_nodes_, merged_.edges(), self_);
-  if (ref.dist != own_spt_.dist() || ref.parent != own_spt_.parent()) {
-    fail("own SPT diverged from merged topology");
+  // 2. The own SPT and its in-edge index match a from-scratch rebuild and
+  // Dijkstra over merged_.
+  if (const std::string diverged = merged_.audit(); !diverged.empty()) {
+    fail("own SPT " + diverged + " diverged from merged topology");
   }
-  // 3. main_ is exactly the pruned own tree, and dist_ its distances.
+  // 3. main_ is exactly the pruned own tree.
   LinkStateTable pruned;
   for (NodeId v = 0; v < static_cast<NodeId>(num_nodes_); ++v) {
-    const NodeId p = own_spt_.parent()[v];
+    const NodeId p = merged_.parent()[v];
     if (p == graph::kInvalidNode) continue;
-    const auto cost = merged_.cost(p, v);
+    const auto cost = merged_.topology().cost(p, v);
     if (!cost.has_value()) fail("tree edge missing from merged topology");
     pruned.set(p, v, *cost);
   }
   if (!(pruned == main_)) fail("main table is not the pruned SPT");
-  std::vector<Cost> want = own_spt_.dist();
-  want[self_] = 0;
-  if (want != dist_) fail("distance vector diverged");
   // 4. Every CLEAN destination's merge inputs are truly unchanged: its
   // cached argmin and merged row match a fresh evaluation. (Dirty
   // destinations are allowed to be stale until the next mtu().)
@@ -320,7 +298,7 @@ void RouterTables::audit() const {
         fail("stale preferred neighbor for clean destination " +
              std::to_string(j));
       }
-      if (!std::ranges::equal(merged_.links_from(j),
+      if (!std::ranges::equal(merged_.topology().links_from(j),
                               neighbor_topology(p).links_from(j))) {
         fail("stale merged row for clean destination " + std::to_string(j));
       }
@@ -329,7 +307,8 @@ void RouterTables::audit() const {
     for (const auto& [k, nb] : nbrs_) {
       want_self.push_back({self_, k, nb.link_cost});
     }
-    if (!std::ranges::equal(merged_.links_from(self_), want_self)) {
+    if (!std::ranges::equal(merged_.topology().links_from(self_),
+                            want_self)) {
       fail("stale self row");
     }
   }
@@ -348,10 +327,10 @@ void RouterTables::save(ckpt::Writer& w) const {
     w.i64(k);
     w.f64(nb.link_cost);
   }
-  w.u64(neighbors_.size());
-  for (NodeId k : neighbors_) w.i64(k);
-  w.u64(dist_.size());
-  for (Cost c : dist_) w.f64(c);
+  w.u64(nbrs_.size());
+  for (const NodeId k : neighbors()) w.i64(k);
+  w.u64(num_nodes_);
+  for (const Cost c : merged_.dist()) w.f64(c);  // D_j
   w.u64(preferred_.size());
   for (NodeId p : preferred_) w.i64(p);
   // Dirty state is protocol state: marks accumulated while ACTIVE are
@@ -382,34 +361,33 @@ void RouterTables::load(ckpt::Reader& r) {
     if (it == nbrs_.end()) throw ckpt::Error("link cost for no neighbor");
     it->second.link_cost = r.f64();
   }
-  const std::uint64_t costs = n;
-  neighbors_.clear();
-  n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    neighbors_.insert(static_cast<NodeId>(r.i64()));
+  // The neighbor list is the keys of nbrs_, as save() writes it.
+  const auto disagree = [] {
+    return ckpt::Error("neighbor tables, link costs and neighbors disagree");
+  };
+  if (n != nbrs_.size() || r.u64() != nbrs_.size()) throw disagree();
+  for (const NodeId k : neighbors()) {
+    if (static_cast<NodeId>(r.i64()) != k) throw disagree();
   }
-  if (costs != nbrs_.size() || neighbors_.size() != nbrs_.size()) {
-    throw ckpt::Error("neighbor tables, link costs and neighbors disagree");
+  // merged_.load() rebuilt the own SPT; the stored D_j must be its
+  // distances.
+  r.expect_size(num_nodes_, "distance vector");
+  for (const Cost c : merged_.dist()) {
+    if (r.f64() != c) {
+      throw ckpt::Error("distance vector disagrees with the merged table");
+    }
   }
-  dist_.resize(r.u64());
-  for (Cost& c : dist_) c = r.f64();
-  preferred_.resize(r.u64());
+  r.expect_size(num_nodes_, "preferred-neighbor vector");
   for (NodeId& p : preferred_) p = static_cast<NodeId>(r.i64());
-  dirty_.resize(r.u64());
+  r.expect_size(num_nodes_, "dirty marks");
   dirty_list_.clear();
-  for (std::size_t j = 0; j < dirty_.size(); ++j) {
+  for (std::size_t j = 0; j < num_nodes_; ++j) {
     dirty_[j] = r.u8();
     if (dirty_[j] != 0) dirty_list_.push_back(static_cast<NodeId>(j));
   }
-  row_dirty_by_.resize(r.u64());
+  r.expect_size(num_nodes_, "row-dirty attribution");
   for (NodeId& v : row_dirty_by_) v = static_cast<NodeId>(r.i64());
   all_dirty_ = r.b();
-  // The own SPT is derived state: rebuild it canonically (dynamic_spt.h —
-  // the from-scratch tree IS the incrementally maintained tree, bit for
-  // bit).
-  own_spt_ = graph::DynamicSpt(num_nodes_, self_);
-  for (const auto& e : merged_.edges()) own_spt_.set_edge(e.from, e.to, e.cost);
-  own_spt_.rebuild();
   audit();
 }
 

@@ -20,13 +20,14 @@
 //     destinations whose inputs changed (per-destination dirty sets:
 //     kDirtyMerge when some D_jk moved, kDirtyRow when a neighbor's row for
 //     the destination changed; adjacency events dirty everything);
-//   * the pruned tree T, D_j and the flooded diff are derived from the own
-//     SPT's repair delta, so a clean MTU is O(1) and a dirty one is
-//     proportional to what actually changed.
+//   * the own SPT is kept with `merged_` (proto::MergedTable): each merge
+//     batch repairs it in place, and the pruned tree T, D_j and the flooded
+//     diff are derived from the repair's delta, so a clean MTU is O(1) and
+//     a dirty one is proportional to what actually changed.
 //
 // The equivalence rests on exact doubles: a tree path sum is the value
 // graph::dijkstra computes, and the own SPT is canonical (lowest-id tight
-// predecessor — see graph/dynamic_spt.h). Configuring with
+// predecessor — see proto/tables.h). Configuring with
 // -DMDR_AUDIT_TABLES=ON (or set_audit_enabled(true)) cross-checks every
 // NTU/MTU against the from-scratch computation and throws
 // std::logic_error on any divergence.
@@ -38,11 +39,10 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
+#include <ranges>
 #include <vector>
 
 #include "graph/dijkstra.h"
-#include "graph/dynamic_spt.h"
 #include "graph/topology.h"
 #include "proto/lsu.h"
 #include "proto/tables.h"
@@ -104,14 +104,14 @@ class RouterTables {
   // --- accessors -----------------------------------------------------------
 
   /// Current neighbors (adjacent links that are up), ascending ids.
-  const std::set<graph::NodeId>& neighbors() const { return neighbors_; }
-  bool is_neighbor(graph::NodeId k) const { return neighbors_.contains(k); }
+  auto neighbors() const { return std::views::keys(nbrs_); }
+  bool is_neighbor(graph::NodeId k) const { return nbrs_.contains(k); }
 
   /// Adjacent link cost l_k; kInfCost if k is not a neighbor.
   graph::Cost link_cost(graph::NodeId k) const;
 
   /// D_j: this router's distance to j per the main topology table.
-  graph::Cost distance(graph::NodeId j) const { return dist_[j]; }
+  graph::Cost distance(graph::NodeId j) const { return merged_.dist()[j]; }
 
   /// D_jk: neighbor k's distance to j per the (time-delayed) topology k
   /// reported; kInfCost if unknown.
@@ -159,12 +159,9 @@ class RouterTables {
 
   graph::NodeId self_;
   std::size_t num_nodes_;
-  LinkStateTable main_;    // T (pruned own SPT)
-  LinkStateTable merged_;  // Fig. 3 steps 2-5 output, maintained in place
+  LinkStateTable main_;  // T (pruned own SPT)
+  MergedTable merged_;   // Fig. 3 steps 2-5 output and SPT(merged_, self)
   std::map<graph::NodeId, Neighbor> nbrs_;
-  std::set<graph::NodeId> neighbors_;  // the keys of nbrs_
-  std::vector<graph::Cost> dist_;  // D_j
-  graph::DynamicSpt own_spt_;      // SPT(merged_, self)
   /// Preferred neighbor per destination as of the last mtu() (the Fig. 3
   /// argmin); lets a clean destination skip its row rebuild entirely.
   std::vector<graph::NodeId> preferred_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <queue>
 #include <tuple>
 
 namespace mdr::proto {
@@ -24,6 +25,37 @@ bool edge_less(const CostedEdge& a, const CostedEdge& b) {
 bool usable(std::optional<Cost> c) {
   return c && *c >= 0 && *c < graph::kInfCost;
 }
+
+// Whether head -> tail joins two distinct nodes in [0, n); the tables
+// ignore any other link.
+bool joins_nodes(NodeId head, NodeId tail, std::size_t n) {
+  const auto ok = [n](NodeId v) {
+    return v >= 0 && static_cast<std::size_t>(v) < n;
+  };
+  return ok(head) && ok(tail) && head != tail;
+}
+
+std::vector<LsuEntry> in_range(std::span<const LsuEntry> entries,
+                               std::size_t n) {
+  std::vector<LsuEntry> kept;
+  for (const LsuEntry& e : entries) {
+    if (joins_nodes(e.head, e.tail, n)) kept.push_back(e);
+  }
+  return kept;
+}
+
+void check_in_range(const LinkStateTable& t, std::size_t n, const char* what) {
+  for (const CostedEdge& e : t.edges()) {
+    if (!joins_nodes(e.from, e.to, n)) {
+      throw ckpt::Error(std::string(what) + " link outside the node range");
+    }
+  }
+}
+
+// Heap entries are (distance, node); std::greater pops the smallest.
+using HeapEntry = std::pair<Cost, NodeId>;
+using MinHeap =
+    std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>;
 
 }  // namespace
 
@@ -198,15 +230,8 @@ void NeighborTable::recount() {
 
 NeighborTable::Update NeighborTable::apply(std::span<const LsuEntry> entries) {
   const auto n = static_cast<NodeId>(dist_.size());
-  std::vector<LsuEntry> kept;
-  for (const LsuEntry& e : entries) {
-    if (e.head >= 0 && e.head < n && e.tail >= 0 && e.tail < n &&
-        e.head != e.tail) {
-      kept.push_back(e);
-    }
-  }
   Update up;
-  up.links = topo_.apply_batch(kept);
+  up.links = topo_.apply_batch(in_range(entries, dist_.size()));
   std::vector<NodeId> roots;  // nodes whose usable in-edge changed
   for (const auto& c : up.links) {
     const bool was = usable(c.before);
@@ -269,12 +294,7 @@ NeighborTable::Update NeighborTable::apply(std::span<const LsuEntry> entries) {
 
 void NeighborTable::load(ckpt::Reader& r) {
   topo_.load(r);
-  const auto n = static_cast<NodeId>(dist_.size());
-  for (const CostedEdge& e : topo_.edges()) {
-    if (e.from < 0 || e.from >= n || e.to < 0 || e.to >= n || e.from == e.to) {
-      throw ckpt::Error("neighbor table link outside the node range");
-    }
-  }
+  check_in_range(topo_, dist_.size(), "neighbor table");
   recount();
   dist_ = graph::dijkstra(dist_.size(), topo_.edges(), root_).dist;
 }
@@ -289,6 +309,251 @@ std::string NeighborTable::audit() const {
   if (graph::dijkstra(dist_.size(), topo_.edges(), root_).dist != dist_) {
     return "distances";
   }
+  return "";
+}
+
+// ---------------------------------------------------------------------------
+// MergedTable
+
+MergedTable::MergedTable(NodeId root, std::size_t num_nodes)
+    : root_(root),
+      dist_(num_nodes, graph::kInfCost),
+      parent_(num_nodes, graph::kInvalidNode),
+      recorded_(num_nodes, 0),
+      in_region_(num_nodes, 0),
+      cand_(num_nodes, graph::kInfCost) {
+  assert(root >= 0 && static_cast<std::size_t>(root) < num_nodes);
+  dist_[root] = 0;
+}
+
+std::span<const MergedTable::InEdge> MergedTable::in_edges(NodeId v) const {
+  const auto lo = std::lower_bound(in_.begin(), in_.end(), InEdge{v, 0});
+  const auto hi = std::lower_bound(lo, in_.end(), InEdge{v + 1, 0});
+  return {lo, hi};
+}
+
+void MergedTable::index_in_edges(const std::vector<InEdge>& drops,
+                                 const std::vector<InEdge>& adds) {
+  // Forward: compact out the drops, all of which are present. Nothing
+  // before the first one moves.
+  if (!drops.empty()) {
+    auto w = std::lower_bound(in_.begin(), in_.end(), drops.front());
+    auto d = drops.begin();
+    for (auto r = w; r != in_.end(); ++r) {
+      if (d != drops.end() && *r == *d) {
+        ++d;
+      } else {
+        *w++ = *r;
+      }
+    }
+    in_.erase(w, in_.end());
+  }
+  // Backward: merge the adds in from the end.
+  std::size_t i = in_.size();
+  std::size_t j = adds.size();
+  in_.resize(i + j);
+  for (std::size_t out = in_.size(); j > 0;) {
+    const bool mine = i > 0 && adds[j - 1] < in_[i - 1];
+    in_[--out] = mine ? in_[--i] : adds[--j];
+  }
+}
+
+NodeId MergedTable::canonical_parent(NodeId v) const {
+  if (v == root_ || dist_[v] >= graph::kInfCost) return graph::kInvalidNode;
+  // in_edges() ascends by head: the first tight predecessor is the
+  // lowest-id one. Adding a cost >= 0 never lowers a double, so a head
+  // farther than v cannot be tight and needs no cost lookup.
+  for (const auto& [tail, head] : in_edges(v)) {
+    if (dist_[head] <= dist_[v] &&
+        dist_[head] + *topo_.cost(head, v) == dist_[v]) {
+      return head;
+    }
+  }
+  return graph::kInvalidNode;  // unreachable unless invariants are broken
+}
+
+MergedTable::Update MergedTable::apply(std::span<const LsuEntry> entries) {
+  Update up;
+  up.links = topo_.apply_batch(in_range(entries, dist_.size()));
+  const auto usable_cost = [](std::optional<Cost> c) {
+    return usable(c) ? *c : graph::kInfCost;
+  };
+  // The usable out-edges of u, as (tail, cost).
+  const auto out_edges = [this](NodeId u, auto&& f) {
+    for (const CostedEdge& e : topo_.links_from(u)) {
+      if (usable(e.cost)) f(e.to, e.cost);
+    }
+  };
+
+  // Classify each link by its net effect on the usable graph.
+  struct Lowered {
+    NodeId from, to;
+    Cost cost;
+  };
+  std::vector<NodeId> cut_roots;      // tree edges that got worse / vanished
+  std::vector<Lowered> lowered;       // edges that got better / appeared
+  std::vector<NodeId> touched_tails;  // recanonicalize their parents
+  std::vector<InEdge> drops;
+  std::vector<InEdge> adds;
+  for (const auto& c : up.links) {
+    const Cost was = usable_cost(c.before);
+    const Cost now = usable_cost(c.after);
+    if (now == was) continue;
+    if (was == graph::kInfCost) adds.emplace_back(c.tail, c.head);
+    if (now == graph::kInfCost) drops.emplace_back(c.tail, c.head);
+    touched_tails.push_back(c.tail);
+    if (now < was) {
+      lowered.push_back({c.head, c.tail, now});
+    } else if (parent_[c.tail] == c.head) {
+      cut_roots.push_back(c.tail);
+    }
+  }
+  if (touched_tails.empty()) return up;
+  std::sort(drops.begin(), drops.end());
+  std::sort(adds.begin(), adds.end());
+  index_in_edges(drops, adds);
+
+  // (node, distance before this batch), recorded once per node on first
+  // touch; dist_changed compares against these.
+  std::vector<std::pair<NodeId, Cost>> old_dist;
+  const auto record_old = [&](NodeId v) {
+    if (recorded_[v] == 0) {
+      recorded_[v] = 1;
+      old_dist.emplace_back(v, dist_[v]);
+    }
+  };
+
+  MinHeap heap;
+  std::vector<NodeId> region;
+
+  // Phase 1 — delete/increase repair. Cut out the subtrees hanging off the
+  // worsened tree edges, then run Dijkstra restricted to that region,
+  // seeded with the best entry cost over every boundary edge.
+  if (!cut_roots.empty()) {
+    std::vector<NodeId> stack = cut_roots;
+    while (!stack.empty()) {
+      const NodeId v = stack.back();
+      stack.pop_back();
+      if (in_region_[v] != 0) continue;
+      in_region_[v] = 1;
+      region.push_back(v);
+      out_edges(v, [&](NodeId w, Cost) {
+        if (parent_[w] == v) stack.push_back(w);
+      });
+    }
+    for (const NodeId a : region) {
+      record_old(a);
+      dist_[a] = graph::kInfCost;
+    }
+    for (const NodeId a : region) {
+      for (const auto& [tail, head] : in_edges(a)) {
+        if (in_region_[head] == 0 && dist_[head] < graph::kInfCost) {
+          const Cost d = dist_[head] + *topo_.cost(head, a);
+          if (d < cand_[a]) cand_[a] = d;
+        }
+      }
+      if (cand_[a] < graph::kInfCost) heap.emplace(cand_[a], a);
+    }
+    while (!heap.empty()) {
+      const auto [d, a] = heap.top();
+      heap.pop();
+      if (in_region_[a] == 0 || d > cand_[a]) continue;  // settled or stale
+      in_region_[a] = 0;
+      dist_[a] = d;
+      out_edges(a, [&](NodeId w, Cost c) {
+        if (in_region_[w] != 0 && d + c < cand_[w]) {
+          cand_[w] = d + c;
+          heap.emplace(d + c, w);
+        }
+      });
+    }
+    // Restore the scratch invariant (unreachable region members were never
+    // settled, so their in_region_ byte is still set).
+    for (const NodeId a : region) {
+      in_region_[a] = 0;
+      cand_[a] = graph::kInfCost;
+    }
+    // A region member can come back BELOW its old distance (the same batch
+    // also lowered an edge on its new path); such nodes are a lowering
+    // frontier for phase 2 — their out-neighbors outside the region may
+    // improve too.
+    for (std::size_t i = 0; i < region.size(); ++i) {
+      const auto [a, old] = old_dist[i];  // region recorded first, in order
+      if (dist_[a] < old) heap.emplace(dist_[a], a);
+    }
+  }
+
+  // Phase 2 — decrease/insert repair: relax from the improved edges (and
+  // any phase-1 nodes that ended up below their old distance) until the
+  // lowering stops propagating.
+  const auto relax = [&](NodeId v, Cost nd) {
+    if (nd < dist_[v]) {
+      record_old(v);
+      dist_[v] = nd;
+      heap.emplace(nd, v);
+    }
+  };
+  for (const Lowered& l : lowered) {
+    if (dist_[l.from] < graph::kInfCost) relax(l.to, dist_[l.from] + l.cost);
+  }
+  while (!heap.empty()) {
+    const auto [d, v] = heap.top();
+    heap.pop();
+    if (d > dist_[v]) continue;  // stale
+    out_edges(v, [&](NodeId w, Cost c) { relax(w, d + c); });
+  }
+
+  // Recanonicalize parents everywhere the choice could have moved: every
+  // touched node, every tail of a changed edge, and every out-neighbor of
+  // a node whose distance actually changed (it may have gained or lost a
+  // tight predecessor).
+  std::vector<NodeId> need_parent = std::move(touched_tails);
+  for (const auto& [v, old] : old_dist) {
+    recorded_[v] = 0;
+    need_parent.push_back(v);
+    if (dist_[v] != old) {
+      up.dist_changed.push_back(v);
+      out_edges(v, [&](NodeId w, Cost) { need_parent.push_back(w); });
+    }
+  }
+  std::sort(up.dist_changed.begin(), up.dist_changed.end());
+  std::sort(need_parent.begin(), need_parent.end());
+  need_parent.erase(std::unique(need_parent.begin(), need_parent.end()),
+                    need_parent.end());
+  for (const NodeId v : need_parent) {
+    const NodeId best = canonical_parent(v);
+    if (best != parent_[v]) {
+      up.parent_changed.emplace_back(v, parent_[v]);
+      parent_[v] = best;
+    }
+  }
+  return up;
+}
+
+void MergedTable::rebuild() {
+  in_.clear();
+  for (const CostedEdge& e : topo_.edges()) {
+    if (usable(e.cost)) in_.emplace_back(e.to, e.from);
+  }
+  std::sort(in_.begin(), in_.end());
+  dist_ = graph::dijkstra(dist_.size(), topo_.edges(), root_).dist;
+  for (NodeId v = 0; v < static_cast<NodeId>(dist_.size()); ++v) {
+    parent_[v] = canonical_parent(v);
+  }
+}
+
+void MergedTable::load(ckpt::Reader& r) {
+  topo_.load(r);
+  check_in_range(topo_, dist_.size(), "merged table");
+  rebuild();
+}
+
+std::string MergedTable::audit() const {
+  MergedTable fresh = *this;
+  fresh.rebuild();
+  if (fresh.in_ != in_) return "in-edge index";
+  const auto ref = graph::dijkstra(dist_.size(), topo_.edges(), root_);
+  if (ref.dist != dist_ || ref.parent != parent_) return "tree";
   return "";
 }
 

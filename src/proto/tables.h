@@ -8,13 +8,16 @@
 // each head's links form one contiguous row.
 //
 // NeighborTable is one T^i_k together with the distances D_jk from k over
-// it (Fig. 2, NTU step 1), kept up to date by tree path sums.
+// it (Fig. 2, NTU step 1), kept up to date by tree path sums. MergedTable
+// is the merged table of Fig. 3 together with the router's own
+// shortest-path tree over it (steps 6-7), repaired in place.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ckpt/ckpt.h"
@@ -139,6 +142,78 @@ class NeighborTable {
   std::vector<std::uint32_t> in_count_;
   std::size_t many_in_ = 0;  // nodes with more than one usable in-edge
   std::vector<graph::Cost> dist_;  // D_·k
+};
+
+/// The merged topology table of Fig. 3 (steps 2-5) and the router's own
+/// shortest-path tree over it (steps 6-7): dist() is D_j, parent() the
+/// tree that MTU prunes the main table to.
+///
+/// A batch is repaired in the style of Ramalingam & Reps, in time
+/// proportional to the region it moves: the subtrees below tree edges that
+/// got worse or vanished are cut out and re-attached through their
+/// boundary, then lowered and new edges relax outward until the lowering
+/// stops. The tree is CANONICAL: distances are the exact doubles
+/// graph::dijkstra computes on the table (each a left-to-right path sum),
+/// and parent[v] is the lowest-id tight predecessor, graph::dijkstra's
+/// tie-break. That needs strictly positive costs; with a zero-cost edge a
+/// tight predecessor can settle after its target, and the
+/// MDR_AUDIT_TABLES audit reports the divergence.
+///
+/// Out-edges are the table's own rows. The one extra structure is an
+/// in-edge index of the usable links, (tail, head) in ascending order, so
+/// the lowest-id tight predecessor is the first one found; costs are read
+/// from the table. Entries and links are filtered as in NeighborTable: the
+/// table can hold a link with an unusable cost, and the tree skips it.
+class MergedTable {
+ public:
+  MergedTable(graph::NodeId root, std::size_t num_nodes);
+
+  struct Update {
+    std::vector<LinkStateTable::Change> links;  ///< net changes, key order
+    std::vector<graph::NodeId> dist_changed;    ///< ascending
+    /// (node, previous parent) for nodes whose tree parent moved,
+    /// ascending by node.
+    std::vector<std::pair<graph::NodeId, graph::NodeId>> parent_changed;
+  };
+
+  /// Applies a batch of edits to the table and repairs the tree.
+  Update apply(std::span<const LsuEntry> entries);
+
+  const LinkStateTable& topology() const { return topo_; }
+  const std::vector<graph::Cost>& dist() const { return dist_; }
+  const std::vector<graph::NodeId>& parent() const { return parent_; }
+
+  void save(ckpt::Writer& w) const { topo_.save(w); }
+  /// Restores the table and derives the rest from scratch (the canonical
+  /// tree is the repaired tree, bit for bit). Throws ckpt::Error on a link
+  /// that apply() would have ignored.
+  void load(ckpt::Reader& r);
+
+  /// Cross-checks the in-edge index and the tree against a rebuild and
+  /// graph::dijkstra; returns what diverged, or "" when nothing did.
+  std::string audit() const;
+
+ private:
+  using InEdge = std::pair<graph::NodeId, graph::NodeId>;  // (tail, head)
+
+  std::span<const InEdge> in_edges(graph::NodeId v) const;
+  /// Removes `drops` from in_ and merges `adds` in; both sorted.
+  void index_in_edges(const std::vector<InEdge>& drops,
+                      const std::vector<InEdge>& adds);
+  graph::NodeId canonical_parent(graph::NodeId v) const;
+  void rebuild();  // the index and the tree afresh from the table
+
+  graph::NodeId root_;
+  LinkStateTable topo_;
+  std::vector<InEdge> in_;  // usable links, sorted by (tail, head)
+  std::vector<graph::Cost> dist_;
+  std::vector<graph::NodeId> parent_;
+  // apply() scratch, kept across calls so a small repair costs O(region),
+  // not O(n) in allocation and memset. Between calls every recorded_ and
+  // in_region_ byte is 0 and every cand_ entry is kInfCost.
+  std::vector<std::uint8_t> recorded_;
+  std::vector<std::uint8_t> in_region_;
+  std::vector<graph::Cost> cand_;
 };
 
 }  // namespace mdr::proto

@@ -19,12 +19,14 @@
 #include <vector>
 
 #include "ckpt/ckpt.h"
+#include "core/mpda.h"
 #include "obs/sampler.h"
 #include "sim/event_queue.h"
 #include "sim/experiment.h"
 #include "sim/network_sim.h"
 #include "sim/scenario.h"
 #include "topo/builders.h"
+#include "proto/pda.h"
 #include "topo/flows.h"
 #include "util/rng.h"
 
@@ -477,6 +479,106 @@ TEST(CkptRestore, RejectsSeedAndShardMismatches) {
   wrong_topo.config.resume_from = path;
   EXPECT_THROW(sim::run_experiment(wrong_topo, "mp"), ckpt::Error);
   std::remove(path.c_str());
+}
+
+// ------------------------------------------------ malformed protocol state
+//
+// A checkpoint is input from outside the program: a file whose checksum
+// was recomputed after an edit passes the container checks, so the
+// protocol state must reject what save() never writes.
+
+constexpr std::size_t kNodes = 4;
+constexpr std::size_t kNoShortVector = 99;
+
+// The checkpoint of a fresh RouterTables(0, kNodes), field by field, with
+// per-node vector `short_vec` (0: D_j, 1: preferred neighbor, 2: dirty
+// marks, 3: row-dirty attribution) one entry short, and D_1 = `d1`.
+void write_fresh_tables(ckpt::Writer& w, std::size_t short_vec,
+                        graph::Cost d1 = graph::kInfCost) {
+  // Writes per-node vector v's length and returns it.
+  const auto put_length = [&](std::size_t v) {
+    const std::size_t n = v == short_vec ? kNodes - 1 : kNodes;
+    w.u64(n);
+    return n;
+  };
+  w.u64(0);  // main table
+  w.u64(0);  // merged table
+  w.u64(0);  // neighbor tables
+  w.u64(0);  // link costs
+  w.u64(0);  // neighbors
+  for (std::size_t j = 0, n = put_length(0); j < n; ++j) {
+    w.f64(j == 0 ? 0.0 : j == 1 ? d1 : graph::kInfCost);
+  }
+  for (std::size_t j = 0, n = put_length(1); j < n; ++j) w.i64(graph::kInvalidNode);
+  for (std::size_t j = 0, n = put_length(2); j < n; ++j) w.u8(0);
+  for (std::size_t j = 0, n = put_length(3); j < n; ++j) w.i64(graph::kInvalidNode);
+  w.b(true);  // all dirty
+}
+
+// The same for a fresh MpdaProcess(0, kNodes), with per-node vector
+// `short_vec` (0: FD, 1: successor sets, 2: successor versions) short.
+void write_fresh_mpda(ckpt::Writer& w, std::size_t short_vec) {
+  write_fresh_tables(w, kNoShortVector);
+  // Writes per-node vector v's length and returns it.
+  const auto put_length = [&](std::size_t v) {
+    const std::size_t n = v == short_vec ? kNodes - 1 : kNodes;
+    w.u64(n);
+    return n;
+  };
+  w.u8(0);   // passive
+  w.u32(1);  // next sequence number
+  w.u64(0);  // retransmission buffers
+  w.u64(0);  // last seen sequence numbers
+  w.u64(0);  // pending full syncs
+  for (std::size_t j = 0, n = put_length(0); j < n; ++j) {
+    w.f64(j == 0 ? 0.0 : graph::kInfCost);
+  }
+  for (std::size_t j = 0, n = put_length(1); j < n; ++j) w.u64(0);
+  for (std::size_t j = 0, n = put_length(2); j < n; ++j) w.u64(0);
+  for (int i = 0; i < 6; ++i) w.u64(0);  // sent, pacing, four counters
+}
+
+struct NullSink final : proto::LsuSink {
+  void send(graph::NodeId, const proto::LsuMessage&) override {}
+};
+
+TEST(CkptMalformed, RouterTablesRejectPerNodeVectorsOfTheWrongLength) {
+  ckpt::Writer want;
+  proto::RouterTables(0, kNodes).save(want);
+  ckpt::Writer good;
+  write_fresh_tables(good, kNoShortVector);
+  ASSERT_EQ(good.payload(), want.payload()) << "the test's format drifted";
+  for (std::size_t v = 0; v < 4; ++v) {
+    ckpt::Writer w;
+    write_fresh_tables(w, v);
+    ckpt::Reader r(w.payload());
+    proto::RouterTables t(0, kNodes);
+    EXPECT_THROW(t.load(r), ckpt::Error) << "vector " << v;
+  }
+}
+
+TEST(CkptMalformed, RouterTablesRejectDistancesTheMergedTableDoesNotGive) {
+  ckpt::Writer w;
+  write_fresh_tables(w, kNoShortVector, /*d1=*/5.0);  // node 1 is unknown
+  ckpt::Reader r(w.payload());
+  proto::RouterTables t(0, kNodes);
+  EXPECT_THROW(t.load(r), ckpt::Error);
+}
+
+TEST(CkptMalformed, MpdaRejectsPerNodeVectorsOfTheWrongLength) {
+  NullSink sink;
+  ckpt::Writer want;
+  core::MpdaProcess(0, kNodes, sink).save(want);
+  ckpt::Writer good;
+  write_fresh_mpda(good, kNoShortVector);
+  ASSERT_EQ(good.payload(), want.payload()) << "the test's format drifted";
+  for (std::size_t v = 0; v < 3; ++v) {
+    ckpt::Writer w;
+    write_fresh_mpda(w, v);
+    ckpt::Reader r(w.payload());
+    core::MpdaProcess p(0, kNodes, sink);
+    EXPECT_THROW(p.load(r), ckpt::Error) << "vector " << v;
+  }
 }
 
 }  // namespace

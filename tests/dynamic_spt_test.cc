@@ -1,22 +1,31 @@
-// Unit tests for src/graph/dynamic_spt: the incremental SPT must be
-// bit-identical to a from-scratch graph::dijkstra after every repair —
-// same distance doubles, same lowest-id parent tie-break — because the
-// protocol layer relies on that equivalence for byte-stable outputs.
+// Unit tests for the dynamic SPT of proto::MergedTable: after every batch
+// the repaired tree must be bit-identical to a from-scratch graph::dijkstra
+// over the table — same distance doubles, same lowest-id parent tie-break —
+// because the protocol layer relies on that equivalence for byte-stable
+// outputs. Batches are LSU entries, as MTU hands them over.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <utility>
 #include <vector>
 
+#include "ckpt/ckpt.h"
 #include "graph/dijkstra.h"
-#include "graph/dynamic_spt.h"
+#include "proto/tables.h"
 #include "topo/builders.h"
 #include "util/rng.h"
 
-namespace mdr::graph {
+namespace mdr::proto {
 namespace {
 
-// Mirror of the edge set a DynamicSpt holds, for feeding dijkstra().
+using graph::Cost;
+using graph::CostedEdge;
+using graph::kInfCost;
+using graph::LinkId;
+using graph::NodeId;
+
+// Mirror of the links a MergedTable holds, for feeding dijkstra().
 using EdgeMap = std::map<std::pair<NodeId, NodeId>, Cost>;
 
 std::vector<CostedEdge> as_edges(const EdgeMap& m) {
@@ -28,23 +37,49 @@ std::vector<CostedEdge> as_edges(const EdgeMap& m) {
   return out;
 }
 
-// Asserts spt == dijkstra(edges) exactly: bitwise-equal distances and
+// A MergedTable rooted at node 0, the mirror of its links, and the batch
+// being staged for the next apply().
+struct Spt {
+  explicit Spt(std::size_t n) : table(0, n) {}
+
+  void set(NodeId u, NodeId v, Cost c) {
+    batch.push_back(LsuEntry{u, v, c, LsuOp::kAddOrChange});
+    edges[{u, v}] = c;
+  }
+  void remove(NodeId u, NodeId v) {
+    batch.push_back(LsuEntry{u, v, kInfCost, LsuOp::kDelete});
+    edges.erase({u, v});
+  }
+  MergedTable::Update apply() {
+    auto up = table.apply(batch);
+    batch.clear();
+    return up;
+  }
+  const std::vector<Cost>& dist() const { return table.dist(); }
+  const std::vector<NodeId>& parent() const { return table.parent(); }
+  bool reachable(NodeId v) const { return dist()[v] < kInfCost; }
+
+  MergedTable table;
+  EdgeMap edges;
+  std::vector<LsuEntry> batch;
+};
+
+// Asserts tree == dijkstra(mirror) exactly: bitwise-equal distances and
 // identical parents (including unreachable markers).
-void expect_canonical(const DynamicSpt& spt, const EdgeMap& edges,
-                      const char* what) {
-  const auto truth =
-      dijkstra(spt.num_nodes(), as_edges(edges), spt.root());
+void expect_canonical(const Spt& spt, const char* what) {
+  const auto truth = graph::dijkstra(spt.dist().size(), as_edges(spt.edges), 0);
   ASSERT_EQ(spt.dist().size(), truth.dist.size()) << what;
   for (std::size_t v = 0; v < truth.dist.size(); ++v) {
     EXPECT_EQ(spt.dist()[v], truth.dist[v]) << what << " dist of node " << v;
     EXPECT_EQ(spt.parent()[v], truth.parent[v])
         << what << " parent of node " << v;
   }
+  EXPECT_EQ(spt.table.audit(), "") << what;
 }
 
 TEST(DynamicSpt, EmptyGraphOnlyRootReachable) {
-  DynamicSpt spt(4, 0);
-  const auto delta = spt.update();
+  Spt spt(4);
+  const auto delta = spt.apply();
   EXPECT_TRUE(delta.dist_changed.empty());
   EXPECT_EQ(spt.dist()[0], 0.0);
   EXPECT_TRUE(spt.reachable(0));
@@ -52,92 +87,72 @@ TEST(DynamicSpt, EmptyGraphOnlyRootReachable) {
 }
 
 TEST(DynamicSpt, InsertGrowsTree) {
-  DynamicSpt spt(4, 0);
-  EdgeMap edges;
-  const auto add = [&](NodeId u, NodeId v, Cost c) {
-    spt.set_edge(u, v, c);
-    edges[{u, v}] = c;
-  };
-  add(0, 1, 1.0);
-  add(1, 2, 2.0);
-  const auto delta = spt.update();
+  Spt spt(4);
+  spt.set(0, 1, 1.0);
+  spt.set(1, 2, 2.0);
+  const auto delta = spt.apply();
   EXPECT_EQ(delta.dist_changed, (std::vector<NodeId>{1, 2}));
-  expect_canonical(spt, edges, "after inserts");
+  expect_canonical(spt, "after inserts");
   EXPECT_EQ(spt.dist()[2], 3.0);
 
   // A shortcut lowers node 2 without touching node 1.
-  add(0, 2, 0.5);
-  const auto d2 = spt.update();
+  spt.set(0, 2, 0.5);
+  const auto d2 = spt.apply();
   EXPECT_EQ(d2.dist_changed, (std::vector<NodeId>{2}));
   ASSERT_EQ(d2.parent_changed.size(), 1u);
   EXPECT_EQ(d2.parent_changed[0], (std::pair<NodeId, NodeId>{2, 1}));
-  expect_canonical(spt, edges, "after shortcut");
+  expect_canonical(spt, "after shortcut");
 }
 
 TEST(DynamicSpt, CostIncreaseRepairsSubtree) {
-  DynamicSpt spt(5, 0);
-  EdgeMap edges;
-  const auto add = [&](NodeId u, NodeId v, Cost c) {
-    spt.set_edge(u, v, c);
-    edges[{u, v}] = c;
-  };
+  Spt spt(5);
   // Chain 0-1-2-3-4 plus a detour 0->2 that is initially too expensive.
-  add(0, 1, 1.0);
-  add(1, 2, 1.0);
-  add(2, 3, 1.0);
-  add(3, 4, 1.0);
-  add(0, 2, 10.0);
-  spt.update();
-  expect_canonical(spt, edges, "initial chain");
+  spt.set(0, 1, 1.0);
+  spt.set(1, 2, 1.0);
+  spt.set(2, 3, 1.0);
+  spt.set(3, 4, 1.0);
+  spt.set(0, 2, 10.0);
+  spt.apply();
+  expect_canonical(spt, "initial chain");
 
   // Worsen the tree edge 1->2: nodes {2,3,4} must re-attach via 0->2.
-  add(1, 2, 50.0);
-  const auto delta = spt.update();
+  spt.set(1, 2, 50.0);
+  const auto delta = spt.apply();
   EXPECT_EQ(delta.dist_changed, (std::vector<NodeId>{2, 3, 4}));
-  expect_canonical(spt, edges, "after increase");
+  expect_canonical(spt, "after increase");
   EXPECT_EQ(spt.dist()[2], 10.0);
 }
 
 TEST(DynamicSpt, DeleteDisconnectsSubtree) {
-  DynamicSpt spt(4, 0);
-  EdgeMap edges;
-  spt.set_edge(0, 1, 1.0);
-  edges[{0, 1}] = 1.0;
-  spt.set_edge(1, 2, 1.0);
-  edges[{1, 2}] = 1.0;
-  spt.set_edge(2, 3, 1.0);
-  edges[{2, 3}] = 1.0;
-  spt.update();
+  Spt spt(4);
+  spt.set(0, 1, 1.0);
+  spt.set(1, 2, 1.0);
+  spt.set(2, 3, 1.0);
+  spt.apply();
 
-  spt.remove_edge(0, 1);
-  edges.erase({0, 1});
-  const auto delta = spt.update();
+  spt.remove(0, 1);
+  const auto delta = spt.apply();
   EXPECT_EQ(delta.dist_changed, (std::vector<NodeId>{1, 2, 3}));
-  expect_canonical(spt, edges, "after cut");
+  expect_canonical(spt, "after cut");
   EXPECT_FALSE(spt.reachable(1));
   EXPECT_FALSE(spt.reachable(3));
   EXPECT_TRUE(spt.reachable(0));
 }
 
 TEST(DynamicSpt, MixedBatchAppliesAtomically) {
-  // An increase and a decrease staged together: the lowered edge must be
+  // An increase and a decrease in one batch: the lowered edge must be
   // visible to the subtree cut out by the raised one (phase-1 repair has
   // to see phase-2 material and vice versa).
-  DynamicSpt spt(4, 0);
-  EdgeMap edges;
-  const auto add = [&](NodeId u, NodeId v, Cost c) {
-    spt.set_edge(u, v, c);
-    edges[{u, v}] = c;
-  };
-  add(0, 1, 1.0);
-  add(1, 2, 1.0);
-  add(0, 3, 9.0);
-  spt.update();
+  Spt spt(4);
+  spt.set(0, 1, 1.0);
+  spt.set(1, 2, 1.0);
+  spt.set(0, 3, 9.0);
+  spt.apply();
 
-  add(1, 2, 100.0);  // increase: cuts node 2 loose
-  add(3, 2, 1.0);    // new edge: the repair path
-  const auto delta = spt.update();
-  expect_canonical(spt, edges, "after mixed batch");
+  spt.set(1, 2, 100.0);  // increase: cuts node 2 loose
+  spt.set(3, 2, 1.0);    // new edge: the repair path
+  const auto delta = spt.apply();
+  expect_canonical(spt, "after mixed batch");
   EXPECT_EQ(spt.dist()[2], 10.0);
   EXPECT_EQ(spt.parent()[2], 3);
   EXPECT_EQ(delta.dist_changed, (std::vector<NodeId>{2}));
@@ -145,23 +160,18 @@ TEST(DynamicSpt, MixedBatchAppliesAtomically) {
 
 TEST(DynamicSpt, LoweredRegionMemberPropagatesDownstream) {
   // A node inside the cut region ends up CLOSER than before (its tree edge
-  // vanished but a staged cheaper path exists). Its downstream neighbors
-  // outside the region must still be relaxed — the phase-1 -> phase-2
-  // hand-off.
-  DynamicSpt spt(4, 0);
-  EdgeMap edges;
-  const auto add = [&](NodeId u, NodeId v, Cost c) {
-    spt.set_edge(u, v, c);
-    edges[{u, v}] = c;
-  };
-  add(0, 1, 5.0);
-  add(1, 2, 5.0);  // node 2 at 10 via 1
-  add(2, 3, 1.0);  // node 3 at 11
-  spt.update();
-  add(1, 2, 50.0);  // cut 2 (and 3) out of the tree
-  add(0, 2, 2.0);   // ... but 2 re-attaches cheaper than it ever was
-  const auto delta = spt.update();
-  expect_canonical(spt, edges, "after lowering inside region");
+  // got worse but the batch also brings a cheaper path). Its downstream
+  // neighbors outside the region must still be relaxed — the phase-1 ->
+  // phase-2 hand-off.
+  Spt spt(4);
+  spt.set(0, 1, 5.0);
+  spt.set(1, 2, 5.0);  // node 2 at 10 via 1
+  spt.set(2, 3, 1.0);  // node 3 at 11
+  spt.apply();
+  spt.set(1, 2, 50.0);  // cut 2 (and 3) out of the tree
+  spt.set(0, 2, 2.0);   // ... but 2 re-attaches cheaper than it ever was
+  const auto delta = spt.apply();
+  expect_canonical(spt, "after lowering inside region");
   EXPECT_EQ(spt.dist()[2], 2.0);
   EXPECT_EQ(spt.dist()[3], 3.0);
   EXPECT_EQ(delta.dist_changed, (std::vector<NodeId>{2, 3}));
@@ -169,47 +179,50 @@ TEST(DynamicSpt, LoweredRegionMemberPropagatesDownstream) {
 
 TEST(DynamicSpt, TieBreakMatchesDijkstraLowestParent) {
   // Two equal-cost two-hop paths to node 3: parent must be the lowest id.
-  DynamicSpt spt(4, 0);
-  EdgeMap edges;
-  const auto add = [&](NodeId u, NodeId v, Cost c) {
-    spt.set_edge(u, v, c);
-    edges[{u, v}] = c;
-  };
-  add(0, 2, 1.0);
-  add(2, 3, 1.0);
-  spt.update();
+  Spt spt(4);
+  spt.set(0, 2, 1.0);
+  spt.set(2, 3, 1.0);
+  spt.apply();
   EXPECT_EQ(spt.parent()[3], 2);
-  add(0, 1, 1.0);
-  add(1, 3, 1.0);  // equally good path via the lower-id node 1
-  spt.update();
-  expect_canonical(spt, edges, "after tie");
+  spt.set(0, 1, 1.0);
+  spt.set(1, 3, 1.0);  // equally good path via the lower-id node 1
+  spt.apply();
+  expect_canonical(spt, "after tie");
   EXPECT_EQ(spt.parent()[3], 1);
 }
 
 TEST(DynamicSpt, UnusableEdgesDegradeToRemoval) {
-  DynamicSpt spt(3, 0);
-  EdgeMap edges;
-  spt.set_edge(0, 1, 1.0);
-  edges[{0, 1}] = 1.0;
-  spt.set_edge(1, 1, 1.0);   // self-loop: ignored
-  spt.set_edge(0, 7, 1.0);   // out of range: ignored
-  spt.set_edge(0, 2, -3.0);  // negative: no edge
-  spt.update();
-  expect_canonical(spt, edges, "after unusable edges");
+  Spt spt(3);
+  spt.set(0, 1, 1.0);
+  spt.set(0, 2, -3.0);  // negative: stored, but no edge
+  spt.batch.push_back(LsuEntry{1, 1, 1.0, LsuOp::kAddOrChange});  // self-loop
+  spt.batch.push_back(LsuEntry{0, 7, 1.0, LsuOp::kAddOrChange});  // range
+  spt.apply();
+  expect_canonical(spt, "after unusable edges");
+  EXPECT_FALSE(spt.table.topology().cost(1, 1).has_value());
+  EXPECT_FALSE(spt.table.topology().cost(0, 7).has_value());
   // A previously-usable edge overwritten with an unusable cost vanishes.
-  spt.set_edge(0, 1, kInfCost);
-  edges.erase({0, 1});
-  spt.update();
-  expect_canonical(spt, edges, "after inf overwrite");
+  spt.set(0, 1, kInfCost);
+  const auto delta = spt.apply();
+  expect_canonical(spt, "after inf overwrite");
   EXPECT_FALSE(spt.reachable(1));
+  EXPECT_EQ(delta.dist_changed, (std::vector<NodeId>{1}));
+  // ... and an unusable link turning into another unusable one moves
+  // nothing.
+  spt.set(0, 2, kInfCost);
+  const auto still = spt.apply();
+  EXPECT_EQ(still.links.size(), 1u);
+  EXPECT_TRUE(still.dist_changed.empty());
+  EXPECT_TRUE(still.parent_changed.empty());
 }
 
 TEST(DynamicSpt, NoOpUpdateReportsNothing) {
-  DynamicSpt spt(3, 0);
-  spt.set_edge(0, 1, 1.0);
-  spt.update();
-  spt.set_edge(0, 1, 1.0);  // identical re-set
-  const auto delta = spt.update();
+  Spt spt(3);
+  spt.set(0, 1, 1.0);
+  spt.apply();
+  spt.set(0, 1, 1.0);  // identical re-set
+  const auto delta = spt.apply();
+  EXPECT_TRUE(delta.links.empty());
   EXPECT_TRUE(delta.dist_changed.empty());
   EXPECT_TRUE(delta.parent_changed.empty());
 }
@@ -217,20 +230,39 @@ TEST(DynamicSpt, NoOpUpdateReportsNothing) {
 TEST(DynamicSpt, RebuildMatchesIncrementalState) {
   Rng rng(7);
   const auto topo = topo::make_waxman(40, 0.6, 0.4, rng);
-  DynamicSpt inc(topo.num_nodes(), 0);
-  EdgeMap edges;
+  Spt inc(topo.num_nodes());
   for (LinkId id = 0; id < static_cast<LinkId>(topo.num_links()); ++id) {
     const auto& l = topo.link(id);
-    const Cost c = rng.uniform(0.5, 4.0);
-    inc.set_edge(l.from, l.to, c);
-    edges[{l.from, l.to}] = c;
+    inc.set(l.from, l.to, rng.uniform(0.5, 4.0));
   }
-  inc.update();
-  DynamicSpt fresh = inc;
-  fresh.rebuild();
+  inc.apply();
+  // load() derives the tree from the table alone.
+  ckpt::Writer w;
+  inc.table.save(w);
+  ckpt::Reader r(w.payload());
+  MergedTable fresh(0, topo.num_nodes());
+  fresh.load(r);
   EXPECT_EQ(inc.dist(), fresh.dist());
   EXPECT_EQ(inc.parent(), fresh.parent());
-  expect_canonical(inc, edges, "incremental vs rebuild");
+  expect_canonical(inc, "incremental vs rebuild");
+}
+
+// Checks one batch's delta against the tree before it: it must list
+// exactly the nodes whose distance or parent moved.
+void expect_exact_delta(const Spt& spt, const MergedTable::Update& delta,
+                        const std::vector<Cost>& old_dist,
+                        const std::vector<NodeId>& old_parent,
+                        std::uint64_t seed) {
+  std::vector<NodeId> moved;
+  std::vector<std::pair<NodeId, NodeId>> reparented;
+  for (NodeId v = 0; v < static_cast<NodeId>(old_dist.size()); ++v) {
+    if (spt.dist()[v] != old_dist[v]) moved.push_back(v);
+    if (spt.parent()[v] != old_parent[v]) {
+      reparented.emplace_back(v, old_parent[v]);
+    }
+  }
+  ASSERT_EQ(delta.dist_changed, moved) << "seed " << seed;
+  ASSERT_EQ(delta.parent_changed, reparented) << "seed " << seed;
 }
 
 // The core property: a long random churn of upserts/removals, checked
@@ -239,45 +271,72 @@ TEST(DynamicSpt, RandomChurnStaysCanonical) {
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
     Rng rng(seed);
     const int n = 24;
-    DynamicSpt spt(n, 0);
-    EdgeMap edges;
+    Spt spt(n);
     for (int step = 0; step < 300; ++step) {
-      // 1-3 staged changes per batch, biased toward upserts.
+      // 1-3 entries per batch, biased toward upserts.
       const int batch = rng.uniform_int(1, 3);
       for (int i = 0; i < batch; ++i) {
         const NodeId u = rng.uniform_int(0, n - 1);
         const NodeId v = rng.uniform_int(0, n - 1);
-        if (!edges.empty() && rng.bernoulli(0.3)) {
-          const auto it =
-              std::next(edges.begin(),
-                        rng.uniform_int(0, static_cast<int>(edges.size()) - 1));
-          spt.remove_edge(it->first.first, it->first.second);
-          edges.erase(it);
+        if (!spt.edges.empty() && rng.bernoulli(0.3)) {
+          const auto it = std::next(
+              spt.edges.begin(),
+              rng.uniform_int(0, static_cast<int>(spt.edges.size()) - 1));
+          spt.remove(it->first.first, it->first.second);
         } else if (u != v) {
-          const Cost c = rng.uniform(0.1, 5.0);
-          spt.set_edge(u, v, c);
-          edges[{u, v}] = c;
+          spt.set(u, v, rng.uniform(0.1, 5.0));
         }
       }
-      // The delta must exactly list what moved.
-      std::vector<Cost> old_dist(spt.dist());
-      std::vector<NodeId> old_parent(spt.parent());
-      const auto delta = spt.update();
+      const std::vector<Cost> old_dist(spt.dist());
+      const std::vector<NodeId> old_parent(spt.parent());
+      const auto delta = spt.apply();
+      ASSERT_NO_FATAL_FAILURE(expect_canonical(spt, "during churn"));
       ASSERT_NO_FATAL_FAILURE(
-          expect_canonical(spt, edges, "during churn"));
-      std::vector<NodeId> moved;
-      std::vector<std::pair<NodeId, NodeId>> reparented;
-      for (NodeId v = 0; v < n; ++v) {
-        if (spt.dist()[v] != old_dist[v]) moved.push_back(v);
-        if (spt.parent()[v] != old_parent[v]) {
-          reparented.emplace_back(v, old_parent[v]);
+          expect_exact_delta(spt, delta, old_dist, old_parent, seed));
+    }
+  }
+}
+
+// MTU re-copies a merged row as one batch: every current link of the head
+// deleted, then the new row added, so most keys appear twice and only the
+// net change may reach the tree. Rows also carry unusable costs, which the
+// merged table stores as the neighbor reported them.
+TEST(DynamicSpt, RowRecopyChurnStaysCanonical) {
+  for (const std::uint64_t seed : {4ull, 5ull, 6ull}) {
+    Rng rng(seed);
+    const int n = 20;
+    Spt spt(n);
+    for (int step = 0; step < 300; ++step) {
+      for (int rows = rng.uniform_int(1, 2); rows > 0; --rows) {
+        const NodeId head = rng.uniform_int(0, n - 1);
+        std::vector<std::pair<NodeId, Cost>> row;
+        for (const CostedEdge& e : spt.table.topology().links_from(head)) {
+          // Keep about half the row exactly as it was.
+          if (rng.bernoulli(0.5)) row.emplace_back(e.to, e.cost);
+          spt.remove(head, e.to);
         }
+        for (int extra = rng.uniform_int(0, 3); extra > 0; --extra) {
+          const NodeId tail = rng.uniform_int(0, n - 1);
+          if (tail == head) continue;
+          const Cost c =
+              rng.bernoulli(0.1) ? kInfCost : rng.uniform(0.1, 5.0);
+          row.emplace_back(tail, c);
+        }
+        for (const auto& [tail, c] : row) spt.set(head, tail, c);
       }
-      ASSERT_EQ(delta.dist_changed, moved) << "seed " << seed;
-      ASSERT_EQ(delta.parent_changed, reparented) << "seed " << seed;
+      const std::vector<Cost> old_dist(spt.dist());
+      const std::vector<NodeId> old_parent(spt.parent());
+      const auto delta = spt.apply();
+      ASSERT_NO_FATAL_FAILURE(expect_canonical(spt, "during row churn"));
+      ASSERT_NO_FATAL_FAILURE(
+          expect_exact_delta(spt, delta, old_dist, old_parent, seed));
+      for (const auto& c : delta.links) EXPECT_NE(c.before, c.after);
+      EXPECT_TRUE(std::ranges::equal(spt.table.topology().edges(),
+                                     as_edges(spt.edges)))
+          << "seed " << seed;
     }
   }
 }
 
 }  // namespace
-}  // namespace mdr::graph
+}  // namespace mdr::proto
