@@ -3,14 +3,19 @@
 
 Usage:
     run_bench.py [--bench event_core|control_plane] [--smoke]
-                 [--build-dir DIR] [--out FILE]
-    run_bench.py --validate-only FILE
+                 [--build-dir DIR] [--out FILE] [--compare BASE.json]
+    run_bench.py --validate-only FILE [--compare BASE.json]
 
 Drives build/bench/perf_event_core or build/bench/perf_control_plane
 (building the target first if a build tree is configured), validates the
 emitted JSON against the schema documented in docs/BENCHMARKS.md, and
 writes the result to --out (default: BENCH_<bench>.json at the repo
 root). --validate-only dispatches on the file's own "bench" field.
+
+--compare BASE.json prints, for every number the result shares with a
+committed baseline, the baseline value, the new one and their ratio, plus
+each engine series' per-shard scaling (wall at 1 shard over wall at S)
+before and after. It is informational: it never changes the exit code.
 
 The control_plane series additionally measures the profiler-attributed
 control-plane busy-time share on the 1000-router Waxman scenario (mdrsim
@@ -415,6 +420,61 @@ def measure_checkpoint_cost(build_dir):
     }
 
 
+def numeric_leaves(node, path=""):
+    """Yields (path, number) for every number in a bench document. List
+    entries that carry a "shards" field are keyed by it, so a series
+    compares point by point even when the sweep changes."""
+    if isinstance(node, bool):
+        return
+    if isinstance(node, (int, float)):
+        yield path, node
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            yield from numeric_leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            key = (f"shards={value['shards']}"
+                   if isinstance(value, dict) and "shards" in value else i)
+            yield from numeric_leaves(value, f"{path}[{key}]")
+
+
+def shard_scaling(doc):
+    """{shards: wall at 1 shard / wall at S} for an engine series."""
+    series = doc.get("engine", {}).get("series", []) \
+        if isinstance(doc.get("engine"), dict) else []
+    walls = {p.get("shards"): p.get("wall_seconds") for p in series
+             if isinstance(p, dict)}
+    one = walls.get(1)
+    return {s: one / w for s, w in walls.items()
+            if isinstance(one, (int, float)) and isinstance(w, (int, float))
+            and w > 0}
+
+
+def compare(doc, base_path):
+    """Prints doc against the baseline at base_path; never fails."""
+    try:
+        with open(base_path) as f:
+            base = json.load(f)
+    except (OSError, json.JSONDecodeError) as e:
+        print(f"run_bench: compare: cannot read {base_path}: {e}")
+        return
+    print(f"run_bench: compare against {base_path} "
+          f"(host_cpus {base.get('host_cpus')} -> {doc.get('host_cpus')}; "
+          f"ratio = new / baseline)")
+    old = dict(numeric_leaves(base))
+    skip = {"version", "host_cpus"}
+    for path, new in numeric_leaves(doc):
+        if path in skip or path not in old:
+            continue
+        was = old[path]
+        ratio = f"{new / was:8.3f}x" if was else "       -"
+        print(f"  {path:<58} {was:>14.6g} -> {new:<14.6g} {ratio}")
+    before, after = shard_scaling(base), shard_scaling(doc)
+    for shards in sorted(set(before) & set(after)):
+        print(f"  engine scaling {shards} shards vs 1: "
+              f"{before[shards]:.2f}x -> {after[shards]:.2f}x")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--bench", default="event_core",
@@ -431,14 +491,20 @@ def main():
                         help="validate an existing JSON file and exit")
     parser.add_argument("--force", action="store_true",
                         help="overwrite a baseline recorded on a bigger host")
+    parser.add_argument("--compare", metavar="BASE",
+                        help="print the result against a baseline JSON "
+                             "(informational; never fails the run)")
     args = parser.parse_args()
     if args.out is None:
         args.out = str(REPO_ROOT / f"BENCH_{args.bench}.json")
 
     if args.validate_only:
         with open(args.validate_only) as f:
-            validate(json.load(f))
+            doc = json.load(f)
+        validate(doc)
         print(f"run_bench: OK: {args.validate_only} matches the schema")
+        if args.compare:
+            compare(doc, args.compare)
         return
 
     # A baseline measured on a bigger machine (more cores) would be silently
@@ -539,8 +605,11 @@ def main():
                       f"{prior_baseline['commit']})")
 
     with open(args.out) as f:
-        validate(json.load(f))
+        doc = json.load(f)
+    validate(doc)
     print(f"run_bench: OK: wrote and validated {args.out}")
+    if args.compare:
+        compare(doc, args.compare)
 
 
 if __name__ == "__main__":

@@ -106,10 +106,11 @@ void MpdaProcess::on_link_up(NodeId k, Cost cost) {
   // If the flood above did not run (no change to T), the new neighbor still
   // needs the full topology; send it directly. The per-sequence ack window
   // keeps this safe alongside an outstanding flood.
-  if (full_sync_.contains(k) && !tables_.main_topology().empty()) {
+  if (!full_sync_.contains(k)) return;
+  auto full = tables_.main_topology().as_entries();
+  if (!full.empty()) {
     full_sync_.erase(k);
-    LsuMessage msg{self(), /*ack=*/false,
-                   tables_.main_topology().as_entries()};
+    LsuMessage msg{self(), /*ack=*/false, std::move(full)};
     msg.seq = next_seq_++;
     unacked_[k][msg.seq] = Pending{msg};
     send(k, msg);

@@ -272,8 +272,18 @@ class MpdaProcess final : public proto::RoutingProcess {
     for (graph::Cost& c : fd_) c = r.f64();
     r.expect_size(num_nodes, "successor sets");
     for (auto& succ : successors_) {
-      succ.resize(r.u64());
-      for (graph::NodeId& k : succ) k = static_cast<graph::NodeId>(r.i64());
+      // Successors are neighbors: bound the count before allocating.
+      const std::uint64_t size = r.u64();
+      if (size > tables_.neighbors().size()) {
+        throw ckpt::Error("successor set larger than the neighbor set");
+      }
+      succ.resize(size);
+      for (graph::NodeId& k : succ) {
+        k = static_cast<graph::NodeId>(r.i64());
+        if (!tables_.is_neighbor(k)) {
+          throw ckpt::Error("successor that is no neighbor");
+        }
+      }
     }
     r.expect_size(num_nodes, "successor versions");
     for (std::uint64_t& v : successor_versions_) v = r.u64();

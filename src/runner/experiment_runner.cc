@@ -389,7 +389,8 @@ void write_results_json(std::ostream& os, const BatchResult& batch,
       // Host-varying fields live in one FLAT object per row so diff tooling
       // (tests/mdrsim_telemetry.cmake) can strip it with a simple regex.
       os << ", \"host\": {\"wall_clock_s\": " << oc->wall_clock_s
-         << ", \"peak_rss_bytes\": " << oc->peak_rss_bytes << "}";
+         << ", \"peak_rss_bytes\": " << oc->peak_rss_bytes
+         << ", \"table_bytes\": " << r.table_bytes << "}";
     }
     if (r.monitor.has_value()) {
       os << ", \"monitor\": " << sim::monitor_report_json(*r.monitor);

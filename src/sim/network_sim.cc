@@ -1279,6 +1279,7 @@ SimResult NetworkSim::run() {
     result.lsus_suppressed += stats.lsus_suppressed;
     result.acks_sent += stats.acks;
     result.damped_withdrawals += stats.damped_withdrawals;
+    result.table_bytes += mpda.tables().memory_bytes();
     result.node_control.push_back(std::move(stats));
   }
   if (monitor_ != nullptr) result.monitor = monitor_->report();

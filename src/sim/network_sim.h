@@ -324,6 +324,10 @@ struct SimResult {
   /// Time series, trace, flight dumps and metrics; present iff any of
   /// sample_interval / trace / flightrec_capacity enabled telemetry.
   std::optional<obs::Telemetry> telemetry;
+  /// Heap bytes of every router's routing tables at the end of the run, by
+  /// capacity (proto::RouterTables::memory_bytes). A host figure: reported
+  /// with wall clock and RSS, not with the deterministic outputs.
+  std::uint64_t table_bytes = 0;
   /// Events processed per shard, in shard order (the per-shard balance;
   /// the only output that depends on the shard count).
   std::vector<std::uint64_t> shard_events;

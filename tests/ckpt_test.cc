@@ -9,6 +9,7 @@
 // never misread. See docs/CHECKPOINT.md.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
@@ -579,6 +580,55 @@ TEST(CkptMalformed, MpdaRejectsPerNodeVectorsOfTheWrongLength) {
     core::MpdaProcess p(0, kNodes, sink);
     EXPECT_THROW(p.load(r), ckpt::Error) << "vector " << v;
   }
+}
+
+// A successor-set count far beyond the neighbor set must be rejected
+// before anything is allocated for it, with the file's checksum intact.
+TEST(CkptMalformed, MpdaRejectsSuccessorSetsLargerThanTheNeighborSet) {
+  NullSink sink;
+  ckpt::Writer w;
+  write_fresh_tables(w, kNoShortVector);
+  w.u8(0);   // passive
+  w.u32(1);  // next sequence number
+  w.u64(0);  // retransmission buffers
+  w.u64(0);  // last seen sequence numbers
+  w.u64(0);  // pending full syncs
+  w.u64(kNodes);
+  for (std::size_t j = 0; j < kNodes; ++j) {
+    w.f64(j == 0 ? 0.0 : graph::kInfCost);
+  }
+  w.u64(kNodes);
+  w.u64(std::uint64_t{1} << 40);  // successor set of destination 0
+  const std::string path = ::testing::TempDir() + "huge_successors.mdrk";
+  w.write_file(path);
+  auto r = ckpt::Reader::from_file(path);
+  core::MpdaProcess p(0, kNodes, sink);
+  EXPECT_THROW(p.load(r), ckpt::Error);
+  std::remove(path.c_str());
+}
+
+TEST(CkptMalformed, MpdaRejectsSuccessorsThatAreNoNeighbors) {
+  NullSink sink;
+  core::MpdaProcess orig(0, kNodes, sink);
+  orig.on_link_up(1, 1.0);
+  ASSERT_EQ(orig.successors(1), std::vector<graph::NodeId>{1});
+  ckpt::Writer good;
+  orig.save(good);
+  // The successor sets as save() writes them: 4 sets, {}, {1}, {}, {}.
+  // Claim node 2, which is no neighbor, in place of node 1.
+  ckpt::Writer sets;
+  for (const std::uint64_t word : {kNodes, std::size_t{0}, std::size_t{1}}) {
+    sets.u64(word);
+  }
+  sets.i64(1);
+  std::vector<std::uint8_t> bytes = good.payload();
+  const auto at = std::search(bytes.begin(), bytes.end(),
+                              sets.payload().begin(), sets.payload().end());
+  ASSERT_NE(at, bytes.end()) << "the test's format drifted";
+  *(at + static_cast<std::ptrdiff_t>(sets.payload().size()) - 8) = 2;
+  ckpt::Reader r(bytes);
+  core::MpdaProcess p(0, kNodes, sink);
+  EXPECT_THROW(p.load(r), ckpt::Error);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-// Unit tests for the dynamic SPT of proto::MergedTable: after every batch
-// the repaired tree must be bit-identical to a from-scratch graph::dijkstra
+// Unit tests for the dynamic SPT of proto::OwnSpt: after every batch the
+// repaired tree must be bit-identical to a from-scratch graph::dijkstra
 // over the table — same distance doubles, same lowest-id parent tie-break —
 // because the protocol layer relies on that equivalence for byte-stable
-// outputs. Batches are LSU entries, as MTU hands them over.
+// outputs. Batches are LSU entries applied to a LinkStateTable, whose net
+// changes the tree repairs from while reading the table through a View.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 
 #include "ckpt/ckpt.h"
 #include "graph/dijkstra.h"
+#include "proto/pda.h"
 #include "proto/tables.h"
 #include "topo/builders.h"
 #include "util/rng.h"
@@ -25,7 +27,7 @@ using graph::kInfCost;
 using graph::LinkId;
 using graph::NodeId;
 
-// Mirror of the links a MergedTable holds, for feeding dijkstra().
+// Mirror of the links the table holds, for feeding dijkstra().
 using EdgeMap = std::map<std::pair<NodeId, NodeId>, Cost>;
 
 std::vector<CostedEdge> as_edges(const EdgeMap& m) {
@@ -37,10 +39,25 @@ std::vector<CostedEdge> as_edges(const EdgeMap& m) {
   return out;
 }
 
-// A MergedTable rooted at node 0, the mirror of its links, and the batch
-// being staged for the next apply().
+// A LinkStateTable read as the tree's View.
+struct TableView final : OwnSpt::View {
+  explicit TableView(const LinkStateTable& t) : table(&t) {}
+  void row(NodeId head, std::vector<CostedEdge>& out) const override {
+    const auto links = table->links_from(head);
+    out.insert(out.end(), links.begin(), links.end());
+  }
+  void into(NodeId tail, std::vector<CostedEdge>& out) const override {
+    for (const CostedEdge& e : table->edges()) {
+      if (e.to == tail) out.push_back(e);
+    }
+  }
+  const LinkStateTable* table;
+};
+
+// A table, the tree rooted at node 0 over it, the mirror of its links, and
+// the batch being staged for the next apply().
 struct Spt {
-  explicit Spt(std::size_t n) : table(0, n) {}
+  explicit Spt(std::size_t n) : tree(0, n) {}
 
   void set(NodeId u, NodeId v, Cost c) {
     batch.push_back(LsuEntry{u, v, c, LsuOp::kAddOrChange});
@@ -50,18 +67,22 @@ struct Spt {
     batch.push_back(LsuEntry{u, v, kInfCost, LsuOp::kDelete});
     edges.erase({u, v});
   }
-  MergedTable::Update apply() {
-    auto up = table.apply(batch);
+  // Applies the batch to the table and repairs the tree from its net
+  // changes, which `links` keeps.
+  OwnSpt::Update apply() {
+    links = table.apply_batch(batch);
     batch.clear();
-    return up;
+    return tree.apply(TableView(table), links);
   }
-  const std::vector<Cost>& dist() const { return table.dist(); }
-  const std::vector<NodeId>& parent() const { return table.parent(); }
+  const std::vector<Cost>& dist() const { return tree.dist(); }
+  const std::vector<NodeId>& parent() const { return tree.parent(); }
   bool reachable(NodeId v) const { return dist()[v] < kInfCost; }
 
-  MergedTable table;
+  LinkStateTable table;
+  OwnSpt tree;
   EdgeMap edges;
   std::vector<LsuEntry> batch;
+  std::vector<LinkStateTable::Change> links;
 };
 
 // Asserts tree == dijkstra(mirror) exactly: bitwise-equal distances and
@@ -74,7 +95,7 @@ void expect_canonical(const Spt& spt, const char* what) {
     EXPECT_EQ(spt.parent()[v], truth.parent[v])
         << what << " parent of node " << v;
   }
-  EXPECT_EQ(spt.table.audit(), "") << what;
+  EXPECT_EQ(spt.tree.audit(spt.table), "") << what;
 }
 
 TEST(DynamicSpt, EmptyGraphOnlyRootReachable) {
@@ -195,12 +216,8 @@ TEST(DynamicSpt, UnusableEdgesDegradeToRemoval) {
   Spt spt(3);
   spt.set(0, 1, 1.0);
   spt.set(0, 2, -3.0);  // negative: stored, but no edge
-  spt.batch.push_back(LsuEntry{1, 1, 1.0, LsuOp::kAddOrChange});  // self-loop
-  spt.batch.push_back(LsuEntry{0, 7, 1.0, LsuOp::kAddOrChange});  // range
   spt.apply();
   expect_canonical(spt, "after unusable edges");
-  EXPECT_FALSE(spt.table.topology().cost(1, 1).has_value());
-  EXPECT_FALSE(spt.table.topology().cost(0, 7).has_value());
   // A previously-usable edge overwritten with an unusable cost vanishes.
   spt.set(0, 1, kInfCost);
   const auto delta = spt.apply();
@@ -211,7 +228,7 @@ TEST(DynamicSpt, UnusableEdgesDegradeToRemoval) {
   // nothing.
   spt.set(0, 2, kInfCost);
   const auto still = spt.apply();
-  EXPECT_EQ(still.links.size(), 1u);
+  EXPECT_EQ(spt.links.size(), 1u);
   EXPECT_TRUE(still.dist_changed.empty());
   EXPECT_TRUE(still.parent_changed.empty());
 }
@@ -222,7 +239,7 @@ TEST(DynamicSpt, NoOpUpdateReportsNothing) {
   spt.apply();
   spt.set(0, 1, 1.0);  // identical re-set
   const auto delta = spt.apply();
-  EXPECT_TRUE(delta.links.empty());
+  EXPECT_TRUE(spt.links.empty());
   EXPECT_TRUE(delta.dist_changed.empty());
   EXPECT_TRUE(delta.parent_changed.empty());
 }
@@ -236,12 +253,9 @@ TEST(DynamicSpt, RebuildMatchesIncrementalState) {
     inc.set(l.from, l.to, rng.uniform(0.5, 4.0));
   }
   inc.apply();
-  // load() derives the tree from the table alone.
-  ckpt::Writer w;
-  inc.table.save(w);
-  ckpt::Reader r(w.payload());
-  MergedTable fresh(0, topo.num_nodes());
-  fresh.load(r);
+  // rebuild() derives the tree from the table alone.
+  OwnSpt fresh(0, topo.num_nodes());
+  fresh.rebuild(inc.table);
   EXPECT_EQ(inc.dist(), fresh.dist());
   EXPECT_EQ(inc.parent(), fresh.parent());
   expect_canonical(inc, "incremental vs rebuild");
@@ -249,7 +263,7 @@ TEST(DynamicSpt, RebuildMatchesIncrementalState) {
 
 // Checks one batch's delta against the tree before it: it must list
 // exactly the nodes whose distance or parent moved.
-void expect_exact_delta(const Spt& spt, const MergedTable::Update& delta,
+void expect_exact_delta(const Spt& spt, const OwnSpt::Update& delta,
                         const std::vector<Cost>& old_dist,
                         const std::vector<NodeId>& old_parent,
                         std::uint64_t seed) {
@@ -310,7 +324,7 @@ TEST(DynamicSpt, RowRecopyChurnStaysCanonical) {
       for (int rows = rng.uniform_int(1, 2); rows > 0; --rows) {
         const NodeId head = rng.uniform_int(0, n - 1);
         std::vector<std::pair<NodeId, Cost>> row;
-        for (const CostedEdge& e : spt.table.topology().links_from(head)) {
+        for (const CostedEdge& e : spt.table.links_from(head)) {
           // Keep about half the row exactly as it was.
           if (rng.bernoulli(0.5)) row.emplace_back(e.to, e.cost);
           spt.remove(head, e.to);
@@ -330,12 +344,95 @@ TEST(DynamicSpt, RowRecopyChurnStaysCanonical) {
       ASSERT_NO_FATAL_FAILURE(expect_canonical(spt, "during row churn"));
       ASSERT_NO_FATAL_FAILURE(
           expect_exact_delta(spt, delta, old_dist, old_parent, seed));
-      for (const auto& c : delta.links) EXPECT_NE(c.before, c.after);
-      EXPECT_TRUE(std::ranges::equal(spt.table.topology().edges(),
+      for (const auto& c : spt.links) EXPECT_NE(c.before, c.after);
+      EXPECT_TRUE(std::ranges::equal(spt.table.edges(),
                                      as_edges(spt.edges)))
           << "seed " << seed;
     }
   }
+}
+
+// The merge MTU performs, built from RouterTables' public accessors alone
+// (Fig. 3 steps 2-5): row j from the neighbor with the least D_jk + l_k
+// (ties to the lower id), the adjacent links as row self.
+LinkStateTable fig3_merge(const RouterTables& t) {
+  const auto n = static_cast<NodeId>(t.num_nodes());
+  std::vector<CostedEdge> links;
+  for (const NodeId k : t.neighbors()) {
+    links.push_back({t.self(), k, t.link_cost(k)});
+  }
+  for (NodeId j = 0; j < n; ++j) {
+    if (j == t.self()) continue;
+    NodeId p = graph::kInvalidNode;
+    Cost best = kInfCost;
+    for (const NodeId k : t.neighbors()) {
+      const Cost d = t.distance_via(j, k) + t.link_cost(k);
+      if (d < best) {
+        best = d;
+        p = k;
+      }
+    }
+    if (p == graph::kInvalidNode) continue;
+    const LinkStateTable topo = t.neighbor_topology(p);
+    const auto row = topo.links_from(j);
+    links.insert(links.end(), row.begin(), row.end());
+  }
+  return LinkStateTable(std::move(links));
+}
+
+// RouterTables keeps its own tree over the merged table as a view over the
+// T_k. After every mtu() its T and D_j must be the shortest-path tree and
+// distances of the explicitly materialized merge, also when the tables
+// were checkpointed with unmerged changes and restored in between.
+TEST(DynamicSpt, RouterTablesTreeIsTheTreeOfTheMaterializedMerge) {
+  Rng rng(17);
+  const auto topo = topo::make_waxman(30, 0.6, 0.4, rng);
+  const auto n = topo.num_nodes();
+  std::vector<CostedEdge> graph_edges;
+  for (LinkId id = 0; id < static_cast<LinkId>(topo.num_links()); ++id) {
+    const auto& l = topo.link(id);
+    graph_edges.push_back({l.from, l.to, rng.uniform(0.5, 4.0)});
+  }
+  // Neighbors of router 0 report their own shortest-path trees.
+  std::vector<NodeId> nbrs;
+  for (const CostedEdge& e : graph_edges) {
+    if (e.from == 0) nbrs.push_back(e.to);
+  }
+  ASSERT_FALSE(nbrs.empty());
+  RouterTables t(0, n);
+  std::map<NodeId, LinkStateTable> sent;
+  for (const NodeId k : nbrs) t.link_up(k, rng.uniform(0.5, 4.0));
+  for (int step = 0; step < 200; ++step) {
+    graph_edges[static_cast<std::size_t>(rng.uniform_int(
+                    0, static_cast<int>(graph_edges.size()) - 1))]
+        .cost = rng.uniform(0.5, 4.0);
+    const NodeId k = nbrs[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<int>(nbrs.size()) - 1))];
+    const LinkStateTable tree(
+        graph::tree_edges(graph::dijkstra(n, graph_edges, k), graph_edges));
+    t.apply_lsu(k, LinkStateTable::diff(sent[k], tree));
+    sent[k] = tree;
+    if (rng.bernoulli(0.1)) t.link_cost_change(k, rng.uniform(0.5, 4.0));
+    if (rng.bernoulli(0.1)) {  // checkpoint with the changes unmerged
+      ckpt::Writer w;
+      t.save(w);
+      ckpt::Reader r(w.payload());
+      RouterTables copy(0, n);
+      copy.load(r);
+      t = copy;
+    }
+    if (rng.bernoulli(0.5)) continue;
+    t.mtu();
+    const LinkStateTable merged = fig3_merge(t);
+    const auto truth = graph::dijkstra(n, merged.edges(), 0);
+    ASSERT_EQ(t.main_topology(),
+              LinkStateTable(graph::tree_edges(truth, merged.edges())))
+        << "step " << step;
+    for (NodeId j = 0; j < static_cast<NodeId>(n); ++j) {
+      ASSERT_EQ(t.distance(j), truth.dist[j]) << "step " << step;
+    }
+  }
+  EXPECT_EQ(t.nonforest_fallbacks(), 0u);
 }
 
 }  // namespace

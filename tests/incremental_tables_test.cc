@@ -217,8 +217,34 @@ TEST(IncrementalTables, CheckpointRoundTripRestoresIncrementalState) {
   }
 }
 
+// Saves `t` while it holds changes no mtu() has merged yet (what an MPDA
+// router deferring its MTU while ACTIVE carries) and restores a copy. The
+// copy must save the same bytes, and both must then merge to the same
+// flood and the same bytes again. Returns the copy.
+proto::RouterTables round_trip_pending(proto::RouterTables& t, int step) {
+  ckpt::Writer saved;
+  t.save(saved);
+  ckpt::Reader r(saved.payload());
+  proto::RouterTables copy(t.self(), t.num_nodes());
+  copy.load(r);
+  r.expect_end();
+  ckpt::Writer again;
+  copy.save(again);
+  EXPECT_EQ(again.payload(), saved.payload()) << "step " << step;
+  EXPECT_EQ(copy.mtu(), t.mtu()) << "step " << step;
+  ckpt::Writer merged_orig;
+  ckpt::Writer merged_copy;
+  t.save(merged_orig);
+  copy.save(merged_copy);
+  EXPECT_EQ(merged_copy.payload(), merged_orig.payload()) << "step " << step;
+  return copy;
+}
+
 // Raw RouterTables churn: random LSU batches (including no-op re-sends,
-// deletions and reports about unknown routers) against the audit.
+// deletions and reports about unknown routers) against the audit, which
+// after every mtu() also compares the merged view with a materialized
+// Fig. 3 merge. Every so often the tables are checkpointed with pending
+// dirt and the stream continues on the restored copy.
 TEST(IncrementalTables, RandomLsuBatchesStayConsistent) {
   AuditGuard audit;
   Rng rng(31);
@@ -226,8 +252,13 @@ TEST(IncrementalTables, RandomLsuBatchesStayConsistent) {
   proto::RouterTables t(0, n);
   t.link_up(1, 1.0);
   t.link_up(2, 2.0);
+  std::uint64_t fallbacks = 0;  // nonforest_fallbacks() is not checkpointed
   std::vector<proto::LsuEntry> batch;
   for (int step = 0; step < 400; ++step) {
+    if (step % 50 == 25) {
+      fallbacks += t.nonforest_fallbacks();
+      t = round_trip_pending(t, step);
+    }
     const NodeId from = rng.uniform_int(1, 2);
     batch.clear();
     const int sz = rng.uniform_int(1, 4);
@@ -261,7 +292,7 @@ TEST(IncrementalTables, RandomLsuBatchesStayConsistent) {
   }
   // Random links put two in-edges into one node, so this stream covers
   // the Dijkstra fallback.
-  EXPECT_GT(t.nonforest_fallbacks(), 0u);
+  EXPECT_GT(fallbacks + t.nonforest_fallbacks(), 0u);
 
   // Second stream: what a neighbor really sends, the diffs of its own
   // shortest-path tree as link costs change, plus the irregular traffic
@@ -297,6 +328,10 @@ TEST(IncrementalTables, RandomLsuBatchesStayConsistent) {
   std::map<NodeId, proto::LinkStateTable> sent;  // mirror of each T_k
   for (const NodeId k : {1, 9}) f.link_up(k, trng.uniform(0.5, 4.0));
   for (int step = 0; step < 400; ++step) {
+    if (step % 50 == 25) {
+      EXPECT_EQ(f.nonforest_fallbacks(), 0u);
+      f = round_trip_pending(f, step);
+    }
     graph_edges[static_cast<std::size_t>(trng.uniform_int(
                     0, static_cast<int>(graph_edges.size()) - 1))]
         .cost = trng.uniform(0.5, 4.0);
