@@ -254,6 +254,24 @@ TEST(LinkStateTable, LinksFromFiltersByHead) {
   EXPECT_TRUE(t.links_from(0).empty());
 }
 
+TEST(LinkStateTable, FirstPerLinkKeepsEachLinksFirstEntryInKeyOrder) {
+  // The pending log of RouterTables relies on this: a link's first logged
+  // `before` is its state as of the last MTU.
+  using Change = LinkStateTable::Change;
+  const auto got = LinkStateTable::first_per_link({
+      {2, 0, 1.0, std::nullopt},
+      {0, 1, std::nullopt, std::nullopt},
+      {2, 0, 5.0, std::nullopt},
+      {0, 1, 3.0, std::nullopt},
+  });
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ((std::pair{got[0].head, got[0].tail}), (std::pair<NodeId, NodeId>{0, 1}));
+  EXPECT_EQ(got[0].before, std::nullopt);
+  EXPECT_EQ((std::pair{got[1].head, got[1].tail}), (std::pair<NodeId, NodeId>{2, 0}));
+  EXPECT_EQ(got[1].before, std::optional<Cost>(1.0));
+  EXPECT_TRUE(LinkStateTable::first_per_link(std::vector<Change>{}).empty());
+}
+
 TEST(LinkStateTable, EdgesSnapshot) {
   LinkStateTable t;
   t.set(0, 1, 1.5);
